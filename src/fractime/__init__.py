@@ -73,6 +73,7 @@ from .asymptotics import (
     cesaro_curve,
     cesaro_mean,
     fit_rate,
+    rate_grid_for,
     verify_class,
 )
 

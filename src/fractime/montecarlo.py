@@ -227,12 +227,11 @@ def _dynamic_values(dynamic: Dynamic, draws: np.ndarray) -> np.ndarray:
 
 def _worker_cap(requested: int) -> int:
     cap = os.environ.get(_ENV_THREAD_CAP)
-    if cap:
-        try:
-            return max(1, min(requested, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
+    if not cap:
+        return max(1, requested)
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise ConfigError(f"{_ENV_THREAD_CAP} must be a positive integer, got {cap!r}")
+    return max(1, min(requested, int(cap)))
 
 
 def estimate_ue(

@@ -116,17 +116,21 @@ def _ml_series_mp(alpha: float, x: float, digits_lost: float) -> float:
 
 
 def _ml_asymptotic(alpha: float, x: float) -> float:
-    """Tail expansion sum_k (-1)^(k+1) x^-k / Gamma(1 - a k), optimally truncated."""
+    """Tail expansion sum_k (-1)^(k+1) x^-k / Gamma(1 - a k), optimally truncated.
+
+    By reflection each term is the envelope x^-k Gamma(a k)/pi times
+    sin(pi a k).  Both stopping tests read the envelope, so a term that
+    vanishes (a k an integer) or nearly vanishes stops nothing.
+    """
     total = 0.0
     prev = math.inf
     for k in range(1, 500):
-        term = (-1) ** (k + 1) * x ** (-k) * _rgamma(1.0 - alpha * k)
-        if abs(term) > prev:
+        envelope = math.exp(math.lgamma(alpha * k) - k * math.log(x)) / math.pi
+        if envelope > prev:
             break
-        total += term
-        if term != 0.0:
-            prev = abs(term)
-        if k > 2 and abs(term) < 1e-18 * abs(total):
+        total += (-1) ** (k + 1) * envelope * math.sin(math.pi * alpha * k)
+        prev = envelope
+        if envelope < 1e-18 * abs(total):
             break
     return total
 

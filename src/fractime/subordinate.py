@@ -5,18 +5,20 @@ a kernel transform K and a dynamic with Laplace transform w reads
 K(l) * w(l K(l)); it is inverted numerically and works for every model,
 including the log-kernel families for which no density formula exists.
 For stable models two independent routes exist besides: the closed forms
-(monomials and the Mittag-Leffler relaxation) and direct quadrature of the
-dynamic against the inverse-stable density.
+(monomials and the Mittag-Leffler relaxation) and quadrature: a dot product
+of the dynamic with one cached table of Wright-density weights per index.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 from .errors import ConvergenceError, DomainError, UnsupportedDynamicError
 from .grids import GridFunction
@@ -30,13 +32,7 @@ from .models import (
     StableSubordinator,
     UserTransform,
 )
-from .special import (
-    density_tail_cutoff,
-    gamma_fn,
-    inverse_stable_density,
-    mittag_leffler,
-    wright,
-)
+from .special import density_tail_cutoff, gamma_fn, mittag_leffler, wright
 
 TRANSFORM_ROUTE = "transform"
 CLOSED_FORM_ROUTE = "closed-form"
@@ -142,73 +138,56 @@ def stable_closed_form(alpha: float, dynamic: Dynamic, t: float) -> float:
     raise UnsupportedDynamicError("closed forms exist for monomial and exponential dynamics only")
 
 
-def stable_quadrature(
-    alpha: float,
-    dynamic: Dynamic,
-    t: float,
-    rel_tol: float = 1e-8,
-) -> float:
-    """u^E(t) by adaptive quadrature of the dynamic against the density.
+def stable_quadrature(alpha: float, dynamic: Dynamic, t: float, rel_tol: float = 1e-8) -> float:
+    """u^E(t) as a dot product with the cached density table of alpha.
 
-    The upper limit is pushed until the stretched-Gaussian tail bound of the
-    density (times the dynamic's growth) falls below rel_tol/100 of the
-    running integral estimate.
+    Self-similarity gives u^E(t) = int u(t^alpha v) W_{-alpha,1-alpha}(-v) dv,
+    so Monomial(n) reads t^(alpha n) sum w v^n and Exponential(a) reads
+    sum w exp(-a t^alpha v).  For exponentials the table is refined toward
+    v = 0 until its head panel is narrower than 16/(a t^alpha); it is then
+    doubled outward until the closed-form tail bound is below rel_tol/10 of
+    the value.  A bound still unmet after a fixed number of doublings, or a
+    Wright value the series cannot reach, raises ConvergenceError.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"stable index must lie in (0,1), got {alpha}")
     if t <= 0.0:
         raise DomainError(f"need t > 0, got {t}")
-    if not isinstance(dynamic, (Monomial, Exponential)):
+    if isinstance(dynamic, Monomial):
+        n, rate, scale = dynamic.n, 0.0, t ** (alpha * dynamic.n)
+    elif isinstance(dynamic, Exponential):
+        n, rate, scale = 0, dynamic.a * t ** alpha, 1.0
+    else:
         raise UnsupportedDynamicError("quadrature route supports monomial and exponential dynamics")
 
-    def integrand(tau: float) -> float:
-        u = float(dynamic.value(tau))
-        return u * inverse_stable_density(alpha, t, tau)
-
-    growth = dynamic.n if isinstance(dynamic, Monomial) else 0
-    cutoff = density_tail_cutoff(alpha, t, floor=1e-8)
-    estimate = None
-    for _ in range(4):
-        val, err = quad(integrand, 0.0, cutoff, limit=300,
-                        epsrel=0.1 * rel_tol,
-                        epsabs=0.1 * rel_tol * (estimate if estimate else 1.0))
-        if not math.isfinite(val):
+    cutoff = density_tail_cutoff(alpha, 1.0, _TABLE_FLOOR)
+    head = _HEAD
+    while rate * math.ldexp(cutoff, head) > 16.0:
+        head -= 1
+        if head < _HEAD - 64:
+            raise ConvergenceError(f"exponential rate {rate:g} outruns the density table")
+    for top in range(_MAX_DOUBLINGS + 1):
+        nodes, wts = _density_table(alpha, head, top)
+        total = float(np.dot(wts, nodes ** n * np.exp(-rate * nodes)))
+        if not math.isfinite(total * scale):
             raise ConvergenceError(f"quadrature returned non-finite value at t={t}")
-        estimate = abs(val) if val != 0.0 else 1.0
-        # tail estimate: density bound at the cutoff times remaining monomial weight
-        floor_needed = 0.01 * rel_tol * estimate / (1.0 + cutoff ** growth) / (1.0 + cutoff)
-        floor_needed = min(1e-8, max(floor_needed, 1e-250))
-        new_cutoff = density_tail_cutoff(alpha, t, floor=floor_needed)
-        if new_cutoff <= cutoff * 1.05:
-            return val
-        cutoff = new_cutoff
-    return val
+        if _tail_bound(alpha, n, rate, math.ldexp(cutoff, top)) <= 0.1 * rel_tol * abs(total):
+            return total * scale
+    raise ConvergenceError(f"density tail bound unmet after {_MAX_DOUBLINGS} doublings at t={t}")
 
 
-def double_transform_residual(
-    alpha: float,
-    p: float,
-    lam: float,
-    tail_floor: float = 1e-12,
-) -> float:
+def double_transform_residual(alpha: float, p: float, lam: float) -> float:
     """Defect of the double (tau, t)-Laplace transform identity of the density.
 
     Computes |iint exp(-p tau - lam t) G_t(tau) dtau dt - K(lam)/(lam K(lam) + p)|
-    numerically from the Wright-series density; stable models only (those
-    are the ones with a density formula).  The inner integral uses the
-    density's self-similarity: with u = tau t^-alpha it becomes
-    int exp(-p t^alpha u) W(-u) du, so the Wright values live on one fixed
-    grid (composite Gauss panels) shared by every outer abscissa.
+    for the stable density.  By self-similarity (v = tau t^-alpha) the inner
+    integral is a dot product of exp(-p t^alpha v) with the base density table.
     """
     alpha, p, lam = float(alpha), float(p), float(lam)
     if not (0.0 < alpha < 1.0) or p <= 0.0 or lam <= 0.0:
         raise DomainError("need 0 < alpha < 1 and p, lam > 0")
-
-    u_max = density_tail_cutoff(alpha, 1.0, floor=tail_floor)
-    nodes, weights = _composite_gauss(0.0, u_max, panels=12, order=32)
-    wvals = np.array([wright(-alpha, 1.0 - alpha, -u) for u in nodes])
-    wts = weights * wvals
+    nodes, wts = _density_table(alpha, _HEAD, 0)
 
     def inner(t: float) -> float:
         return float(np.dot(wts, np.exp(-p * t ** alpha * nodes)))
@@ -216,25 +195,45 @@ def double_transform_residual(
     t_max = 30.0 / lam
     outer, _ = quad(lambda t: math.exp(-lam * t) * inner(t), 0.0, t_max,
                     limit=200, epsabs=1e-8, epsrel=1e-8)
-    model = StableSubordinator(alpha)
-    kt = model.kernel_transform(lam)
-    exact = kt / (lam * kt + p)
-    return abs(outer - exact)
+    return abs(outer - exact_double_transform(alpha, p, lam))
 
 
-def _composite_gauss(lo: float, hi: float, panels: int, order: int):
-    """Gauss-Legendre nodes/weights on geometrically refined panels of [lo, hi].
+# Density table: 32-node Gauss-Legendre panels [u 2^(k-1), u 2^k], head < k <= top,
+# after a head panel [0, u 2^head]; u is the 1e-12 tail cutoff of the t = 1 density.
+_TABLE_FLOOR = 1e-12
+_HEAD = -11
+_MAX_DOUBLINGS = 6
+_GAUSS = np.polynomial.legendre.leggauss(32)
 
-    Panels shrink toward lo, where the integrands peak.
-    """
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    edges = np.concatenate([[lo], lo + (hi - lo) * np.geomspace(1.0 / 2 ** (panels - 1), 1.0, panels)])
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(half * (base_x + 1.0) + a)
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+
+@lru_cache(maxsize=4096)
+def _panel(alpha: float, k: int, is_head: bool):
+    """Nodes v and Gauss weights times W_{-alpha,1-alpha}(-v) on one panel."""
+    hi = math.ldexp(density_tail_cutoff(alpha, 1.0, _TABLE_FLOOR), k)
+    lo = 0.0 if is_head else 0.5 * hi
+    nodes = 0.5 * (hi - lo) * (_GAUSS[0] + 1.0) + lo
+    # budget 400: at the 1e-12 cutoff the default 200 runs out near alpha 0.9
+    dens = np.array([wright(-alpha, 1.0 - alpha, -v, budget=400) for v in nodes])
+    return nodes, 0.5 * (hi - lo) * _GAUSS[1] * dens
+
+
+@lru_cache(maxsize=256)
+def _density_table(alpha: float, head: int, top: int):
+    """Read-only (nodes, weights * W) of alpha's density table from panel head to top."""
+    panels = [_panel(alpha, head, True)] + [_panel(alpha, k, False) for k in range(head + 1, top + 1)]
+    table = tuple(np.concatenate(part) for part in zip(*panels))
+    for part in table:
+        part.flags.writeable = False
+    return table
+
+
+def _tail_bound(alpha: float, n: int, rate: float, upper: float) -> float:
+    """Bound on int_upper^inf v^n exp(-rate v) W(-v) dv from |W(-v)| <~ exp(-c v^b):
+    exp(-rate upper) Gamma((n+1)/b, c upper^b) / (b c^((n+1)/b)), b = 1/(1-alpha)."""
+    b = 1.0 / (1.0 - alpha)
+    c = (1.0 - alpha) * alpha ** (alpha * b)
+    s = (n + 1.0) / b
+    return math.exp(-rate * upper) * gamma_fn(s) * float(gammaincc(s, c * upper ** b)) / (b * c ** s)
 
 
 def exact_double_transform(alpha: float, p: float, lam: float) -> float:

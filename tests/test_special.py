@@ -70,6 +70,13 @@ class TestMittagLeffler:
             ref = ml_erfcx_oracle(x) if alpha == 0.5 else ml_spectral_oracle(alpha, x)
             assert mittag_leffler(alpha, x) == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [1.0 / 3.0, 0.4, 0.499, 0.5, 0.6, 2.0 / 3.0])
+    @pytest.mark.parametrize("x", [50.0, 1e3, 1e5])
+    def test_asymptotic_band_against_oracle(self, alpha, x):
+        # a vanishing or tiny 1/Gamma(1 - a k) must not end the tail expansion
+        ref = ml_erfcx_oracle(x) if alpha == 0.5 else ml_spectral_oracle(alpha, x)
+        assert mittag_leffler(alpha, x) == pytest.approx(ref, rel=1e-10)
+
     def test_erfcx_identity_band(self):
         for x in np.linspace(0.0, 20.0, 81):
             ref = ml_erfcx_oracle(float(x))

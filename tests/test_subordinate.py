@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fractime import (
+    ConvergenceError,
     DistributedOrderSubordinator,
     DomainError,
     Exponential,
@@ -24,6 +25,8 @@ from fractime import (
 )
 from fractime.subordinate import exact_double_transform
 from conftest import ml_erfcx_oracle, ml_series_oracle
+
+EDGE_DYNAMICS = [Monomial(n) for n in range(9)] + [Exponential(1.0)]
 
 ALL_MODELS = [
     StableSubordinator(0.5),
@@ -149,6 +152,25 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             stable_quadrature(0.5, Monomial(1), 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.92])
+    @pytest.mark.parametrize("dyn", EDGE_DYNAMICS, ids=repr)
+    def test_index_edges_against_closed_forms(self, alpha, dyn):
+        for t in (1e-3, 1.0, 1e3):
+            closed = stable_closed_form(alpha, dyn, t)
+            assert stable_quadrature(alpha, dyn, t) == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("x", np.logspace(-3, 9, 13))
+    def test_exponential_against_erfcx(self, x):
+        # a t^(1/2) = x at t = 4; the head panel is refined down to 16/x
+        got = stable_quadrature(0.5, Exponential(float(x) / 2.0), 4.0)
+        assert got == pytest.approx(ml_erfcx_oracle(float(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("dyn", [Monomial(1), Exponential(1.0)], ids=repr)
+    def test_unreachable_density_raises(self, dyn):
+        # the Wright series cannot reach the table's nodes at this index
+        with pytest.raises(ConvergenceError):
+            stable_quadrature(0.97, dyn, 1.0)
+
 
 class TestDoubleTransform:
     def test_right_side_values(self):
@@ -209,3 +231,25 @@ def test_nontransform_routes_need_density():
     with pytest.raises(UnsupportedDynamicError):
         subordinated_curve(DistributedOrderSubordinator(), Exponential(1.0),
                            [1.0, 2.0], route=CLOSED_FORM_ROUTE)
+
+
+def test_density_table_shared_across_threads():
+    # concurrent points build and read the cached tables; values match serial bit for bit
+    import concurrent.futures
+    import sys
+
+    from fractime.subordinate import _density_table, _panel
+
+    cases = [(Monomial(n), t) for n in (1, 2) for t in (0.5, 2.0)] + \
+            [(Exponential(a), 1.0) for a in (0.5, 50.0, 5e4)]
+    serial = [stable_quadrature(0.45, dyn, t) for dyn, t in cases]
+    _panel.cache_clear()
+    _density_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+            parallel = list(pool.map(lambda case: stable_quadrature(0.45, *case), cases))
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
