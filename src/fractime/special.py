@@ -12,6 +12,10 @@ Accuracy targets: gamma 1e-13 relative; mittag_leffler 1e-10 relative on the
 parameter band the toolkit exercises (a in [0.3, 0.7], x <= 1e6); wright is
 summed in adaptive-precision arithmetic and is exact to double roundoff
 whenever it converges within its term budget.
+
+The elevated-precision series of both families share their z-independent
+coefficients 1/Gamma(a n + b): they are computed once per (index, precision)
+and cached, so a density table of many arguments pays for them once.
 """
 
 from __future__ import annotations
@@ -102,16 +106,21 @@ def _ml_series_mp(alpha: float, x: float, digits_lost: float) -> float:
     with _MP_LOCK, mp.workdps(dps):
         a = mp.mpf(alpha)
         xx = mp.mpf(x)
+        coefs = _rgamma_series(alpha, 1.0, dps)
         total = mp.mpf(0)
         peak = mp.mpf(1)
         stop = mp.mpf(10) ** (-(digits_lost + 25))
+        xpow = mp.mpf(1)
         n = 0
         while True:
-            term = (-xx) ** n / mp.gamma(a * n + 1)
+            if n == len(coefs):
+                coefs.append(mp.rgamma(a * n + 1))
+            term = xpow * coefs[n]
             total += term
             peak = max(peak, abs(term))
             if n > 4 and abs(term) < peak * stop:
                 return float(total)
+            xpow *= -xx
             n += 1
 
 
@@ -218,6 +227,9 @@ def wright(mu: float, nu: float, z: float, budget: int = 200) -> float:
     where the series cancellation is hopeless.
 
     Pure and memoized; quadratures against the density revisit arguments.
+    The coefficients 1/Gamma(mu n + nu) are cached per (mu, nu, precision)
+    and shared by every z, so a value never depends on what was evaluated
+    before it.
     """
     return _wright_cached(float(mu), float(nu), float(z), int(budget))
 
@@ -242,7 +254,7 @@ def _wright_cached(mu: float, nu: float, z: float, budget: int) -> float:
     # Retry with more digits when the sum lands near the roundoff floor
     # (result many orders below the largest term).
     for _ in range(4):
-        result, ok, nonzero = _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap)
+        result, ok = _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap)
         if not ok:
             if is_density_pair:
                 return _half_gaussian(z)
@@ -256,18 +268,33 @@ def _wright_cached(mu: float, nu: float, z: float, budget: int) -> float:
     raise ConvergenceError(f"wright series precision escalation failed (z={z})")
 
 
+@lru_cache(maxsize=16)
+def _rgamma_series(a: float, b: float, dps: int) -> list:
+    """1/Gamma(a n + b) for n = 0, 1, ... at dps digits, shared by every argument.
+
+    The list starts empty; a series running under _MP_LOCK at dps digits
+    appends term n's coefficient the first time it reaches n, so each entry
+    is the value that series would compute for itself.
+    """
+    return []
+
+
 def _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap):
-    """One fixed-precision pass.  Returns (value | None, decayed_ok, nonzero)."""
+    """One fixed-precision pass.  Returns (value | None, decayed_ok)."""
     with _MP_LOCK, mp.workdps(dps):
         mz, mmu, mnu = mp.mpf(z), mp.mpf(mu), mp.mpf(nu)
+        coefs = _rgamma_series(mu, nu, dps)
         noise_floor = mp.mpf(10) ** (-(dps - max(0.0, peak10) - 8))
         decay_mark = mp.mpf("1e-3")
         total = mp.mpf(0)
         peak = mp.mpf(0)
+        zpow = mp.mpf(1)  # z^n / n!
         n = nonzero = small_run = 0
         decayed = False
         while True:
-            term = mz ** n / mp.factorial(n) * mp.rgamma(mmu * n + mnu)
+            if n == len(coefs):
+                coefs.append(mp.rgamma(mmu * n + mnu))
+            term = zpow * coefs[n]
             if term != 0:
                 nonzero += 1
                 total += term
@@ -276,19 +303,20 @@ def _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap):
                 if n > n_peak and mag <= peak * decay_mark:
                     decayed = True
                 if not decayed and nonzero >= budget:
-                    return None, False, nonzero
+                    return None, False
                 if n > n_peak and mag <= abs(total) * noise_floor:
                     small_run += 1
                     if small_run >= 2:
                         # reject if the sum sits at the roundoff floor itself
                         if total != 0 and abs(total) > peak * mp.mpf(10) ** (-(dps - 12)):
-                            return float(total), True, nonzero
-                        return None, True, nonzero
+                            return float(total), True
+                        return None, True
                 else:
                     small_run = 0
+            zpow = zpow * mz / (n + 1)
             n += 1
             if nonzero > hard_cap:
-                return None, False, nonzero
+                return None, False
 
 
 # ---------------------------------------------------------------------------

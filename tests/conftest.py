@@ -1,8 +1,8 @@
 """Shared oracles for the test suite.
 
 Everything here is computed by a route independent of the implementation
-it checks: high-precision series/quadrature in mpmath, scipy's erfcx, or
-plain closed-form arithmetic.
+it checks: high-precision series/quadrature/Talbot inversion in mpmath,
+scipy's erfcx and stable density, or plain closed-form arithmetic.
 """
 
 import math
@@ -11,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import erfcx
+from scipy.stats import levy_stable
 
 
 def ml_series_oracle(alpha: float, x: float) -> float:
@@ -43,20 +44,41 @@ def ml_series_oracle(alpha: float, x: float) -> float:
 
 
 def ml_spectral_oracle(alpha: float, x: float, dps: int = 40) -> float:
-    """E_alpha(-x) through its completely monotone spectral representation."""
+    """E_alpha(-x) through its completely monotone spectral representation.
+
+    E_a(-x) = int_0^inf exp(-u) r^(a-1) sin(pi a) / (pi t (r^2a + 2 r^a cos(pi a) + 1)) du
+    with t = x^(1/a), r = u/t.  At small a the integrand spreads over tens of
+    decades of u, so it is integrated in s = log(u/t) on equal knots from
+    -60/a (where r^a = e^-60) to log(200/t) (where exp(-u) = e^-200).
+    """
     with mp.workdps(dps):
         a = mp.mpf(alpha)
         t = mp.mpf(x) ** (1 / a)
         sa, ca = mp.sin(a * mp.pi), mp.cos(a * mp.pi)
 
-        def f(u):
-            r = u / t
-            ra = r ** a
-            return mp.e ** (-u) * (r ** (a - 1) * sa / (ra * ra + 2 * ra * ca + 1)) / (mp.pi * t)
+        def f(s):
+            ra = mp.e ** (a * s)
+            return mp.e ** (-t * mp.e ** s) * ra * sa / (ra * ra + 2 * ra * ca + 1) / mp.pi
 
-        knots = [0, mp.mpf("1e-10"), mp.mpf("1e-6"), mp.mpf("1e-3"),
-                 mp.mpf("0.1"), 1, 5, 20, 100, mp.inf]
-        return float(mp.quad(f, knots))
+        return float(mp.quad(f, mp.linspace(-60 / a, mp.log(200 / t), 12)))
+
+
+def ml_talbot_oracle(alpha: float, x: float, dps: int = 40) -> float:
+    """E_alpha(-x) by mpmath's Talbot inversion of l^(alpha-1)/(l^alpha + x) at t = 1."""
+    with mp.workdps(dps):
+        a, xx = mp.mpf(alpha), mp.mpf(x)
+        return float(mp.invertlaplace(lambda l: l ** (a - 1) / (l ** a + xx), 1, method="talbot"))
+
+
+def inverse_stable_levy_oracle(alpha: float, t: float, tau: float) -> float:
+    """Inverse-stable density from scipy's one-sided stable density (Nolan's integral).
+
+    G_t(tau) = t / (alpha tau^(1+1/alpha)) g(t tau^(-1/alpha)), g the density with
+    Laplace transform exp(-l^alpha): beta = 1, scale cos(pi alpha/2)^(1/alpha)
+    in scipy's default S1 parameterization.
+    """
+    g = levy_stable(alpha, 1.0, loc=0.0, scale=math.cos(0.5 * math.pi * alpha) ** (1.0 / alpha))
+    return t / (alpha * tau ** (1.0 + 1.0 / alpha)) * float(g.pdf(t * tau ** (-1.0 / alpha)))
 
 
 def ml_erfcx_oracle(x: float) -> float:

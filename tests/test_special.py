@@ -1,8 +1,9 @@
 """Special-function evaluation against independent oracles.
 
 Oracles live in conftest: scipy's erfcx for the index-1/2 identity,
-high-precision mpmath summation for general orders, closed-form Gaussians
-for the index-1/2 density.
+high-precision mpmath summation, quadrature and Talbot inversion for general
+orders, closed-form Gaussians for the index-1/2 density and scipy's stable
+density for general indices.
 """
 
 import math
@@ -24,9 +25,11 @@ from fractime import (
 )
 from conftest import (
     half_gaussian_density,
+    inverse_stable_levy_oracle,
     ml_erfcx_oracle,
     ml_series_oracle,
     ml_spectral_oracle,
+    ml_talbot_oracle,
     wright_series_oracle,
 )
 
@@ -76,6 +79,11 @@ class TestMittagLeffler:
         # a vanishing or tiny 1/Gamma(1 - a k) must not end the tail expansion
         ref = ml_erfcx_oracle(x) if alpha == 0.5 else ml_spectral_oracle(alpha, x)
         assert mittag_leffler(alpha, x) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("x", [0.7, 50.0, 1e5])
+    def test_spectral_oracle_at_small_index(self, x):
+        # the oracle's spectral integrand spreads over tens of decades at a = 0.05
+        assert ml_spectral_oracle(0.05, x) == pytest.approx(ml_talbot_oracle(0.05, x), rel=1e-12)
 
     def test_erfcx_identity_band(self):
         for x in np.linspace(0.0, 20.0, 81):
@@ -166,6 +174,13 @@ class TestInverseStableDensity:
                 ref = half_gaussian_density(t, tau)
                 assert inverse_stable_density(0.5, t, tau) == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_against_scipy_stable_density(self, alpha):
+        for t in (0.5, 2.0):
+            for tau in (0.05, 0.3, 1.0, 2.5):
+                ref = inverse_stable_levy_oracle(alpha, t, tau)
+                assert inverse_stable_density(alpha, t, tau) == pytest.approx(ref, rel=1e-11)
+
     def test_zero_limit(self):
         # 1/sqrt(4 pi)
         assert inverse_stable_density(0.5, 4.0, 0.0) == pytest.approx(
@@ -207,17 +222,56 @@ def test_thread_safety_of_precision_paths():
     # reproduce serial values bit for bit
     import concurrent.futures
 
-    from fractime.special import _wright_cached
+    from fractime.special import _rgamma_series, _wright_cached
 
     _wright_cached.cache_clear()
+    _rgamma_series.cache_clear()
     args = [(0.5, 2.0 + 0.01 * k) for k in range(12)] + \
            [(0.45, 3.0 + 0.05 * k) for k in range(12)]
     serial_ml = [mittag_leffler(a, x) for a, x in args]
     zs = [-(0.3 + 0.2 * k) for k in range(20)]
     serial_w = [wright(-0.5, 0.5, z) for z in zs]
     _wright_cached.cache_clear()
+    _rgamma_series.cache_clear()
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         par_ml = list(pool.map(lambda ax: mittag_leffler(*ax), args))
         par_w = list(pool.map(lambda z: wright(-0.5, 0.5, z), zs))
     assert par_ml == serial_ml
     assert par_w == serial_w
+
+
+def test_values_independent_of_cache_state():
+    # the shared 1/Gamma coefficient lists grow in whatever order arguments
+    # arrive; a base density table must come out bit for bit the same in
+    # order, in reverse and from a thread pool with a short switch interval
+    import concurrent.futures
+    import sys
+
+    from fractime.special import _rgamma_series, _wright_cached
+
+    alpha = 0.42
+    gauss = np.polynomial.legendre.leggauss(32)[0] + 1.0
+    cutoff = density_tail_cutoff(alpha, 1.0, 1e-12)
+    nodes = [0.5 * math.ldexp(cutoff, -11) * x for x in gauss]
+    for k in range(-10, 1):
+        hi = math.ldexp(cutoff, k)
+        nodes += [0.25 * hi * x + 0.5 * hi for x in gauss]
+
+    def density(v):
+        return wright(-alpha, 1.0 - alpha, -float(v), budget=400)
+
+    def fresh(evaluate):
+        _wright_cached.cache_clear()
+        _rgamma_series.cache_clear()
+        return evaluate()
+
+    forward = fresh(lambda: [density(v) for v in nodes])
+    backward = fresh(lambda: [density(v) for v in reversed(nodes)][::-1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            pooled = fresh(lambda: list(pool.map(density, nodes, timeout=120)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert forward == backward == pooled
