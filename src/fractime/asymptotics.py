@@ -21,13 +21,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .grids import GridFunction, log_grid
 from .laplace import InversionConfig, invert, invert_on_grid
-from .models import (
-    Dynamic,
-    LOG_FAMILY,
-    POWER_FAMILY,
-    RatePrediction,
-    SubordinatorModel,
-)
+from .models import Dynamic, RatePrediction, SubordinatorModel
 from .subordinate import subordinated_transform
 
 __all__ = [
@@ -46,11 +40,12 @@ __all__ = [
 def rate_grid_for(model: SubordinatorModel, points: int = 25) -> np.ndarray:
     """Default fitting grid for a model's rate family.
 
-    Power-law rates are converged well before 1e8; log corrections need
-    abscissae out to 1e12 (transform inversion reaches them at constant
-    cost, which is the reason the fitting route goes through transforms).
+    Power-law rates (models with a nonzero power_index) are converged well
+    before 1e8; log corrections need abscissae out to 1e12 (transform
+    inversion reaches them at constant cost, which is the reason the
+    fitting route goes through transforms).
     """
-    if model.rate_family == POWER_FAMILY:
+    if model.power_index:
         return log_grid(1e2, 1e8, points)
     return log_grid(1e4, 1e12, points)
 
@@ -217,28 +212,27 @@ def verify_class(
 ) -> ClassVerification:
     """Fit the Cesaro curve on the grid and compare with the predicted rate.
 
-    Power-family models are judged on the time exponent p of the free fit
-    with |p - predicted| <= tol_p (their log exponent is structurally 0);
-    log-family models are judged on the log exponent q of the p=0
-    constrained fit with |q - predicted| <= tol_q.  Both fits are reported.
+    Power-family models (nonzero power_index) are judged on the time
+    exponent p of the free fit with |p - predicted| <= tol_p (their log
+    exponent is structurally 0); log-family models are judged on the log
+    exponent q of the p=0 constrained fit with |q - predicted| <= tol_q.
+    Both fits are reported.
     """
     predicted = model.predict_rate(dynamic)
     curve = cesaro_curve(model, dynamic, grid, cfg)
     free = fit_rate(curve)
-    if model.rate_family == POWER_FAMILY:
+    if model.power_index:
         constrained = fit_rate(curve, pin_q=0.0)
         p_dev = abs(free.p - predicted.power)
         q_dev = abs(free.q - predicted.log_power)
         p_ok = p_dev <= tol_p
         q_ok = True
-    elif model.rate_family == LOG_FAMILY:
+    else:
         constrained = fit_rate(curve, pin_p=0.0)
         p_dev = abs(free.p - predicted.power)
         q_dev = abs(constrained.q - predicted.log_power)
         p_ok = True
         q_ok = q_dev <= tol_q
-    else:
-        raise ConfigError(f"model {model!r} declares no rate family")
     return ClassVerification(
         model=model,
         dynamic=dynamic,

@@ -29,14 +29,15 @@ TALBOT = "talbot"
 GAVER_STEHFEST = "gaver-stehfest"
 
 _LN2 = math.log(2.0)
+# Talbot contour base point r = _TALBOT_SHAPE * terms / t (the classic
+# fixed-Talbot rule)
+_TALBOT_SHAPE = 0.4
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Method selection and error-control knobs for inversion.
+    """Method selection and term count for inversion.
 
-    talbot_shape scales the contour: the contour base point is
-    r = talbot_shape * terms / t (the classic fixed-Talbot rule is 0.4).
     Gaver-Stehfest term counts must be even and at most 18; beyond that the
     Salzer weights (up to ~8e10 at 18 terms) amplify double-precision noise
     past any truncation gain.
@@ -44,7 +45,6 @@ class InversionConfig:
 
     method: str = TALBOT
     terms: int = 32
-    talbot_shape: float = 0.4
 
     def __post_init__(self):
         if self.method not in (TALBOT, GAVER_STEHFEST):
@@ -58,8 +58,6 @@ class InversionConfig:
                     "gaver-stehfest terms must be even and <= 18 "
                     "(weight overflow in double precision beyond that)"
                 )
-        if self.talbot_shape <= 0.0:
-            raise ConfigError("talbot_shape must be positive")
 
 
 def gaver_stehfest_config(terms: int = 16) -> InversionConfig:
@@ -125,7 +123,7 @@ def talbot_invert(
     if cfg.method != TALBOT:
         raise ConfigError("talbot_invert called with a non-talbot config")
     m = cfg.terms
-    r = cfg.talbot_shape * m / t
+    r = _TALBOT_SHAPE * m / t
     path, sigma = _talbot_nodes(m)
     p = r * path
     total = 0.0

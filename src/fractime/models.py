@@ -16,6 +16,7 @@ All models are immutable; every method is pure.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -27,11 +28,6 @@ from scipy.special import gamma as _gamma, rgamma as _rgamma
 from .errors import ConfigError, DomainError, UnsupportedDynamicError, UnsupportedModelError
 
 Complex = Union[float, complex]
-
-# rate families for long-time predictions
-POWER_FAMILY = "power"
-LOG_FAMILY = "log"
-
 
 # ---------------------------------------------------------------------------
 # Dynamics
@@ -147,13 +143,29 @@ class SubordinatorModel:
     """Common surface of the subordinator families.
 
     Subclasses provide ``laplace_exponent``/``kernel_transform`` (everywhere)
-    and kernel-side methods where a kernel is defined.
+    and kernel-side methods where a kernel is defined.  Each model states
+    what its kernel allows in attributes set once by its constructor:
+
+    * ``stable_indices``: the indices of the independent stable subordinators
+      the model is the sum of, () if it is no such sum.  One index gives
+      closed forms, density quadrature and direct sampling; any number gives
+      exact path increments.
+    * ``short_time_power``: the exponent g with u(t) ~ u0 (1 - c t^g) near
+      zero for the kernel relaxation, None when the model has no
+      time-domain kernel (transform routes only).
+    * ``power_index`` and ``log_rate_scale``: the Cesaro exponents, so that
+      t^n has running mean ~ t^(power_index n) (log t)^(log_rate_scale n)
+      and exp(-a t) the same with n = -1; each is 0 where it does not apply.
     """
 
     config_tag: str = ""
-    rate_family: str = ""
-    has_kernel: bool = False
-    has_levy_density: bool = False
+
+    def __init__(self, *, stable_indices: tuple = (), short_time_power: float | None = None,
+                 power_index: float = 0.0, log_rate_scale: float = 0.0):
+        self.stable_indices = stable_indices
+        self.short_time_power = short_time_power
+        self.power_index = power_index
+        self.log_rate_scale = log_rate_scale
 
     # -- transform side -----------------------------------------------------
     def laplace_exponent(self, lam: Complex) -> Complex:
@@ -182,7 +194,12 @@ class SubordinatorModel:
 
     def predict_rate(self, dynamic: Dynamic) -> RatePrediction:
         """Predicted Cesaro-mean exponents for a monomial or decaying exponential."""
-        raise NotImplementedError
+        if isinstance(dynamic, Monomial):
+            return RatePrediction(self.power_index * dynamic.n, self.log_rate_scale * dynamic.n)
+        if isinstance(dynamic, Exponential):
+            # 0.0 - x, not -x: an exponent that does not apply stays +0.0
+            return RatePrediction(0.0 - self.power_index, 0.0 - self.log_rate_scale)
+        raise UnsupportedDynamicError("rate predictions need a monomial or exponential dynamic")
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -192,47 +209,17 @@ class SubordinatorModel:
         return f"{type(self).__name__}({params})"
 
 
-class _PowerFamilyModel(SubordinatorModel):
-    """Shared prediction logic for models with transform ~ l^(power_index - 1)."""
-
-    rate_family = POWER_FAMILY
-    power_index: float = 0.0
-
-    def predict_rate(self, dynamic: Dynamic) -> RatePrediction:
-        if isinstance(dynamic, Monomial):
-            return RatePrediction(self.power_index * dynamic.n, 0.0)
-        if isinstance(dynamic, Exponential):
-            return RatePrediction(-self.power_index, 0.0)
-        raise UnsupportedDynamicError("rate predictions need a monomial or exponential dynamic")
-
-
-class _LogFamilyModel(SubordinatorModel):
-    """Shared prediction logic for models with log-type slow variation."""
-
-    rate_family = LOG_FAMILY
-    log_rate_scale: float = 1.0
-
-    def predict_rate(self, dynamic: Dynamic) -> RatePrediction:
-        if isinstance(dynamic, Monomial):
-            return RatePrediction(0.0, self.log_rate_scale * dynamic.n)
-        if isinstance(dynamic, Exponential):
-            return RatePrediction(0.0, -self.log_rate_scale)
-        raise UnsupportedDynamicError("rate predictions need a monomial or exponential dynamic")
-
-
-class StableSubordinator(_PowerFamilyModel):
+class StableSubordinator(SubordinatorModel):
     """Driftless stable subordinator: exponent l^alpha, kernel t^-alpha/Gamma(1-alpha)."""
 
     config_tag = "stable"
-    has_kernel = True
-    has_levy_density = True
 
     def __init__(self, alpha: float):
         alpha = float(alpha)
         if not (0.0 < alpha < 1.0):
             raise ConfigError(f"stable index must lie in (0,1), got {alpha}")
+        super().__init__(stable_indices=(alpha,), short_time_power=alpha, power_index=alpha)
         self.alpha = alpha
-        self.power_index = alpha
 
     def laplace_exponent(self, lam):
         z = _require_right_half(lam, strict=False)
@@ -275,24 +262,23 @@ class StableSubordinator(_PowerFamilyModel):
         return {"class": self.config_tag, "alpha": self.alpha}
 
 
-class TwoStableSubordinator(_PowerFamilyModel):
+class TwoStableSubordinator(SubordinatorModel):
     """Sum of two independent stable subordinators with indices alpha < beta.
 
     The smaller index controls the small-frequency behavior, so long-time
-    rates match a pure stable model of index alpha.
+    rates match a pure stable model of index alpha; the larger one
+    dominates small times.
     """
 
     config_tag = "two-stable"
-    has_kernel = True
-    has_levy_density = True
 
     def __init__(self, alpha: float, beta: float):
         alpha, beta = float(alpha), float(beta)
         if not (0.0 < alpha < beta < 1.0):
             raise ConfigError(f"need 0 < alpha < beta < 1, got alpha={alpha}, beta={beta}")
+        super().__init__(stable_indices=(alpha, beta), short_time_power=beta, power_index=alpha)
         self.alpha = alpha
         self.beta = beta
-        self.power_index = alpha
         self._parts = (StableSubordinator(alpha), StableSubordinator(beta))
 
     def laplace_exponent(self, lam):
@@ -332,7 +318,7 @@ _DO_KERNEL_W = _DO_WEIGHTS * _rgamma(_DO_NODES)          # w_i / Gamma(a_i)
 _DO_CUM_W = _DO_WEIGHTS * _rgamma(1.0 + _DO_NODES)       # w_i / Gamma(1 + a_i)
 
 
-class DistributedOrderSubordinator(_LogFamilyModel):
+class DistributedOrderSubordinator(SubordinatorModel):
     """Kernel averaged uniformly over power orders in (0,1).
 
     k(t) = int_0^1 t^(a-1)/Gamma(a) da, with kernel transform
@@ -341,11 +327,12 @@ class DistributedOrderSubordinator(_LogFamilyModel):
     """
 
     config_tag = "distributed-order"
-    rate_family = LOG_FAMILY
-    log_rate_scale = 1.0
-    has_kernel = True
 
     _TAYLOR_RADIUS = 1e-4
+
+    def __init__(self):
+        # the solution behaves like t log(1/t) at small times, close to linear
+        super().__init__(short_time_power=1.0, log_rate_scale=1.0)
 
     def laplace_exponent(self, lam):
         z = _require_right_half(lam, strict=False)
@@ -393,7 +380,7 @@ class DistributedOrderSubordinator(_LogFamilyModel):
         return {"class": self.config_tag}
 
 
-class ParametricLogSubordinator(_LogFamilyModel):
+class ParametricLogSubordinator(SubordinatorModel):
     """Parametric family with kernel transform ~ (1/l) (log(1/l))^(-1-s).
 
     Defined directly through the transform
@@ -411,9 +398,9 @@ class ParametricLogSubordinator(_LogFamilyModel):
             raise ConfigError(f"log exponent s must be positive, got {s}")
         if scale <= 0.0:
             raise ConfigError(f"scale must be positive, got {scale}")
+        super().__init__(log_rate_scale=1.0 + s)
         self.s = s
         self.scale = scale
-        self.log_rate_scale = 1.0 + s
 
     def laplace_exponent(self, lam):
         z = _require_right_half(lam, strict=False)
@@ -439,30 +426,23 @@ def _log1p_recip(z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Operation-style wrappers and configuration
+# Rate predictions and configuration
 # ---------------------------------------------------------------------------
-
-def laplace_exponent(model: SubordinatorModel, lam: Complex) -> Complex:
-    return model.laplace_exponent(lam)
-
-
-def kernel_transform(model: SubordinatorModel, lam: Complex) -> Complex:
-    return model.kernel_transform(lam)
-
-
-def kernel(model: SubordinatorModel, t: float) -> float:
-    return model.kernel(t)
-
 
 def predict_cesaro_exponents(model: SubordinatorModel, dynamic: Dynamic) -> RatePrediction:
     return model.predict_rate(dynamic)
 
 
+def _constructor_parameters(cls) -> tuple:
+    """(required, accepted) parameter names of a model class's constructor."""
+    params = inspect.signature(cls).parameters.values()
+    return {p.name for p in params if p.default is p.empty}, {p.name for p in params}
+
+
 _MODEL_CLASSES = {
-    "stable": StableSubordinator,
-    "two-stable": TwoStableSubordinator,
-    "distributed-order": DistributedOrderSubordinator,
-    "c3": ParametricLogSubordinator,
+    cls.config_tag: (cls, *_constructor_parameters(cls))
+    for cls in (StableSubordinator, TwoStableSubordinator, DistributedOrderSubordinator,
+                ParametricLogSubordinator)
 }
 
 
@@ -470,7 +450,9 @@ def model_from_config(config) -> SubordinatorModel:
     """Build a model from a mapping or `key = value` text.
 
     Recognized keys: ``class`` (stable | two-stable | distributed-order | c3)
-    plus the numeric parameters ``alpha``, ``beta``, ``s``, ``scale``.
+    plus exactly the numeric parameters that class's constructor takes
+    (``alpha``; ``alpha``, ``beta``; none; ``s`` and optionally ``scale``).
+    A missing or extra parameter raises ConfigError.
     """
     if isinstance(config, str):
         mapping = {}
@@ -490,36 +472,20 @@ def model_from_config(config) -> SubordinatorModel:
     except KeyError:
         raise ConfigError("model config needs a 'class' key") from None
     try:
-        cls = _MODEL_CLASSES[tag]
+        cls, required, accepted = _MODEL_CLASSES[tag]
     except KeyError:
         raise ConfigError(
             f"unknown model class {tag!r}; expected one of {sorted(_MODEL_CLASSES)}"
         ) from None
 
+    missing, extra = required - mapping.keys(), mapping.keys() - accepted
+    if missing or extra:
+        raise ConfigError(f"model class {tag!r} takes parameters {sorted(accepted)}; "
+                          f"missing {sorted(map(str, missing))}, extra {sorted(map(str, extra))}")
     params = {}
     for key, val in mapping.items():
-        if key not in ("alpha", "beta", "s", "scale"):
-            raise ConfigError(f"unknown model parameter {key!r}")
         try:
             params[key] = float(val)
         except (TypeError, ValueError):
             raise ConfigError(f"parameter {key} must be numeric, got {val!r}") from None
-
-    if tag == "stable":
-        _need(params, "alpha", tag)
-        return cls(params["alpha"])
-    if tag == "two-stable":
-        _need(params, "alpha", tag)
-        _need(params, "beta", tag)
-        return cls(params["alpha"], params["beta"])
-    if tag == "distributed-order":
-        if params:
-            raise ConfigError("distributed-order takes no parameters")
-        return cls()
-    _need(params, "s", tag)
-    return cls(params["s"], params.get("scale", 1.0))
-
-
-def _need(params, key, tag):
-    if key not in params:
-        raise ConfigError(f"model class {tag!r} requires parameter {key!r}")
+    return cls(**params)

@@ -1,11 +1,15 @@
 """Monte Carlo oracle for the time-changed dynamics.
 
 Samples the subordinator and its inverse, estimating u^E(t) = E[u(E(t))]
-with standard errors.  Stable models use the exact one-draw construction
-(E(t) equals (t/S(1))^alpha in law); the two-stable and distributed-order
-models simulate subordinator paths and record the first passage above the
-level t.  Streams are counter-based per fixed-size chunk, so results are
-bit-identical for a given (seed, n_paths) no matter how many workers run.
+with standard errors.  What a model states decides the sampler: a model
+with a single stable index uses the exact one-draw construction (E(t)
+equals (t/S(1))^alpha in law); every other model simulates subordinator
+paths and records the first passage above the level t, with exact
+increments when it is a sum of stables and compound-Poisson increments
+built from its tail kernel otherwise (a model without a time-domain
+kernel cannot be simulated).  Streams are counter-based per fixed-size
+chunk, so results are bit-identical for a given (seed, n_paths) no matter
+how many workers run.
 """
 
 from __future__ import annotations
@@ -17,16 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, UnsupportedDynamicError, UnsupportedModelError
-from .models import (
-    DistributedOrderSubordinator,
-    Dynamic,
-    Exponential,
-    Monomial,
-    StableSubordinator,
-    SubordinatorModel,
-    TwoStableSubordinator,
-)
+from .errors import ConfigError, ConvergenceError, UnsupportedDynamicError
+from .models import Dynamic, Exponential, Monomial, SubordinatorModel
 
 _CHUNK = 4096          # fixed chunk size; part of the reproducibility contract
 _ENV_THREAD_CAP = "FRACTIME_THREADS"
@@ -37,7 +33,7 @@ class McConfig:
     n_paths: int = 100_000
     seed: int = 0
     workers: int = 1
-    jump_cutoff: float = 1e-4   # small-jump truncation for the distributed-order model
+    jump_cutoff: float = 1e-4   # small-jump truncation for compound-Poisson path models
 
     def __post_init__(self):
         if self.n_paths < 100:
@@ -93,25 +89,24 @@ def sample_inverse_stable(alpha: float, t: float, rng: np.random.Generator, size
 # Increment samplers for path simulation
 # ---------------------------------------------------------------------------
 
-class _StableIncrements:
-    def __init__(self, model: StableSubordinator):
-        self.alpha = model.alpha
+class _StableSumIncrements:
+    """Exact increments: independent sum of stable draws, one per index.
+
+    The indices are drawn in the model's order and summed in place.
+    """
+
+    def __init__(self, indices: tuple):
+        self.indices = indices
 
     def draw(self, dt: float, size: int, rng) -> np.ndarray:
-        return sample_stable(self.alpha, dt, rng, size)
+        first, *rest = self.indices
+        out = sample_stable(first, dt, rng, size)
+        for index in rest:
+            out += sample_stable(index, dt, rng, size)
+        return out
 
 
-class _TwoStableIncrements:
-    """Exact increments: independent sum of the two stable components."""
-
-    def __init__(self, model: TwoStableSubordinator):
-        self.alpha, self.beta = model.alpha, model.beta
-
-    def draw(self, dt: float, size: int, rng) -> np.ndarray:
-        return sample_stable(self.alpha, dt, rng, size) + sample_stable(self.beta, dt, rng, size)
-
-
-class _DistributedOrderIncrements:
+class _CompoundPoissonIncrements:
     """Compound Poisson above the cutoff plus deterministic small-jump drift.
 
     Jumps above the cutoff have survival function k(x)/k(cutoff) (k is the
@@ -120,7 +115,7 @@ class _DistributedOrderIncrements:
     first passage as long as the cap exceeds the passage level.
     """
 
-    def __init__(self, model: DistributedOrderSubordinator, cutoff: float, cap: float):
+    def __init__(self, model: SubordinatorModel, cutoff: float, cap: float):
         self.rate = float(model.kernel(cutoff))
         # mean of the removed small jumps per unit time: integral of tau dsigma
         # over (0, cutoff], by parts = K1(cutoff) - cutoff k(cutoff)
@@ -153,15 +148,10 @@ class _DistributedOrderIncrements:
 
 
 def _increment_sampler(model: SubordinatorModel, cfg: McConfig, level: float):
-    if isinstance(model, StableSubordinator):
-        return _StableIncrements(model)
-    if isinstance(model, TwoStableSubordinator):
-        return _TwoStableIncrements(model)
-    if isinstance(model, DistributedOrderSubordinator):
-        return _DistributedOrderIncrements(model, cfg.jump_cutoff, cap=2.0 * level + 1.0)
-    raise UnsupportedModelError(
-        f"{type(model).__name__} cannot be path-simulated (no Levy density)"
-    )
+    """Path increments of the model; UnsupportedModelError without a kernel."""
+    if model.stable_indices:
+        return _StableSumIncrements(model.stable_indices)
+    return _CompoundPoissonIncrements(model, cfg.jump_cutoff, cap=2.0 * level + 1.0)
 
 
 def _first_passage_block(sampler, t: float, rng, step: float, n: int,
@@ -243,14 +233,14 @@ def estimate_ue(
 ) -> McEstimate:
     """Estimate u^E(t) = E[u(E(t))] with its standard error.
 
-    Stable models draw E(t) directly; path models default to a step of
-    t/512 for the passage scan.  Estimates are reduced chunk-by-chunk in a
+    Single-index stable models draw E(t) directly; path models default to
+    a step of t/512 for the passage scan.  Estimates are reduced chunk-by-chunk in a
     fixed order, so (seed, n_paths) pins the result bit-for-bit whatever
     the worker count.
     """
     if t <= 0.0:
         raise ConfigError("need t > 0")
-    direct = isinstance(model, StableSubordinator)
+    direct = len(model.stable_indices) == 1
     sampler = None if direct else _increment_sampler(model, cfg, level=t)
     if step is None:
         step = t / 512.0
@@ -261,7 +251,7 @@ def estimate_ue(
         n = min(_CHUNK, cfg.n_paths - c * _CHUNK)
         rng = _chunk_rng(cfg.seed, c)
         if direct:
-            draws = sample_inverse_stable(model.alpha, t, rng, n)
+            draws = sample_inverse_stable(model.stable_indices[0], t, rng, n)
         else:
             draws = _first_passage_block(sampler, t, rng, step, n)
         vals = _dynamic_values(dynamic, draws)

@@ -9,7 +9,9 @@ treated implicitly.
 
 A starting correction repairs the first-cell quadrature against the t^g
 leading behavior of the solution (g = the model's short-time power), which
-is what limits plain product integration on uniform grids.
+is what limits plain product integration on uniform grids.  Any model that
+states a short-time power has the time-domain kernel the scheme needs;
+models that state none (transform-only kernels) are rejected.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedModelError
 from .grids import GridFunction
-from .models import (
-    DistributedOrderSubordinator,
-    StableSubordinator,
-    SubordinatorModel,
-    TwoStableSubordinator,
-)
+from .models import SubordinatorModel
 
 
 @dataclass(frozen=True)
@@ -39,10 +36,7 @@ class RelaxationProblem:
     horizon: float = 5.0
 
     def __post_init__(self):
-        if not isinstance(
-            self.model,
-            (StableSubordinator, TwoStableSubordinator, DistributedOrderSubordinator),
-        ):
+        if self.model.short_time_power is None:
             raise UnsupportedModelError(
                 "relaxation solves need a model with an integrable kernel"
             )
@@ -50,15 +44,6 @@ class RelaxationProblem:
             raise ConfigError("damping rate a must be nonnegative")
         if not (0.0 < self.h <= self.horizon):
             raise ConfigError("need 0 < h <= horizon")
-
-
-def _short_time_power(model: SubordinatorModel) -> float:
-    """Exponent g with u(t) ~ u0 (1 - c t^g) near zero; drives the correction."""
-    if isinstance(model, StableSubordinator):
-        return model.alpha
-    if isinstance(model, TwoStableSubordinator):
-        return model.beta  # the larger index dominates small times
-    return 1.0  # distributed-order: t log(1/t) behavior, close to linear
 
 
 def _scheme_arrays(prob: RelaxationProblem):
@@ -71,7 +56,7 @@ def _scheme_arrays(prob: RelaxationProblem):
     cumulative[1:] = prob.model.kernel_integral(t[1:])
     weights = np.diff(cumulative)  # weights[i] = integral of k over (ih, (i+1)h)
 
-    g = _short_time_power(prob.model)
+    g = prob.model.short_time_power
     tg = t ** g
     # row corrections b_m on (u1 - u0): make each row's convolution quadrature
     # exact on s^g as well as on constants

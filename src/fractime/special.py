@@ -210,6 +210,20 @@ def _wright_peak(mu: float, nu: float, z: float, n_scan: int):
     return best, n_best
 
 
+def _nonzero_terms(mu: float, nu: float, n_last: int) -> int:
+    """Nonzero series terms among n = 0..n_last, counted from below.
+
+    A term whose gamma argument lies within 1e-9 of a pole is left out even
+    where it may be nonzero, so the count never exceeds the one an exact
+    summation sees.
+    """
+    count = 0
+    for n in range(n_last + 1):
+        arg = mu * n + nu
+        count += arg > 0.0 or abs(arg - round(arg)) > 1e-9
+    return count
+
+
 def _half_gaussian(z: float) -> float:
     return math.exp(-z * z / 4.0) / math.sqrt(math.pi)
 
@@ -251,10 +265,14 @@ def _wright_cached(mu: float, nu: float, z: float, budget: int) -> float:
     hard_cap = 8 * budget
     peak10, n_peak = _wright_peak(mu, nu, z, 4 * hard_cap)
     dps = int(30 + max(0.0, peak10))
+    # A pass cannot see decay before the peak, so with budget nonzero terms
+    # up to it the pass is bound to fail; skip its high-precision sum.
+    ok = n_peak + 1 < budget or _nonzero_terms(mu, nu, n_peak) < budget
     # Retry with more digits when the sum lands near the roundoff floor
     # (result many orders below the largest term).
     for _ in range(4):
-        result, ok = _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap)
+        if ok:
+            result, ok = _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap)
         if not ok:
             if is_density_pair:
                 return _half_gaussian(z)

@@ -96,24 +96,24 @@ def subordinated_curve(
     """Sample u^E over a grid by the chosen route.
 
     The transform route works for every model; the closed-form and
-    quadrature routes exist for stable models only and ignore cfg.
+    quadrature routes need a model with a single stable index and ignore cfg.
+    An unknown route raises DomainError whatever the model.
     """
     if route == TRANSFORM_ROUTE:
         samples = invert_on_grid(
             lambda lam: subordinated_transform(model, dynamic, lam), grid, cfg
         )
         return SubordinatedCurve(model, dynamic, samples, route)
-    if not isinstance(model, StableSubordinator):
+    routes = {CLOSED_FORM_ROUTE: stable_closed_form, QUADRATURE_ROUTE: stable_quadrature}
+    if route not in routes:
+        raise DomainError(f"unknown route {route!r}")
+    if len(model.stable_indices) != 1:
         raise UnsupportedDynamicError(
             f"route {route!r} needs a stable model; {type(model).__name__} has no density"
         )
+    (alpha,) = model.stable_indices
     ts = np.asarray(grid, dtype=float)
-    if route == CLOSED_FORM_ROUTE:
-        vals = [stable_closed_form(model.alpha, dynamic, float(t)) for t in ts]
-    elif route == QUADRATURE_ROUTE:
-        vals = [stable_quadrature(model.alpha, dynamic, float(t)) for t in ts]
-    else:
-        raise DomainError(f"unknown route {route!r}")
+    vals = [routes[route](alpha, dynamic, float(t)) for t in ts]
     return SubordinatedCurve(model, dynamic, GridFunction(ts, np.array(vals)), route)
 
 

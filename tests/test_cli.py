@@ -73,6 +73,14 @@ def test_bad_model_parameter_exit_code(capsys):
     assert code == 1
 
 
+def test_parameter_the_model_does_not_take_exit_code(capsys):
+    # --beta means nothing to a stable model; it is refused, not ignored
+    code, _, err = run_cli("subordinate", "--model", "stable", "--alpha", "0.5", "--beta", "0.9",
+                           "--dynamic", "mono:1", "--t", "2", capsys=capsys)
+    assert code == 1
+    assert "beta" in err
+
+
 def test_json_summary(capsys):
     code, out, _ = run_cli(
         "mc", "--model", "stable", "--alpha", "0.5", "--dynamic", "exp:1",

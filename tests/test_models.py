@@ -222,6 +222,30 @@ class TestPredictions:
             predict_cesaro_exponents(StableSubordinator(0.5), UserTransform(lambda z: 1.0 / z))
 
 
+class TestCapabilities:
+    @pytest.mark.parametrize(
+        "model,indices,short_time,power,log_scale",
+        [
+            (StableSubordinator(0.4), (0.4,), 0.4, 0.4, 0.0),
+            (TwoStableSubordinator(0.4, 0.7), (0.4, 0.7), 0.7, 0.4, 0.0),
+            (DistributedOrderSubordinator(), (), 1.0, 0.0, 1.0),
+            (ParametricLogSubordinator(0.5), (), None, 0.0, 1.5),
+        ],
+    )
+    def test_models_state_their_capabilities(self, model, indices, short_time, power,
+                                             log_scale):
+        assert model.stable_indices == indices
+        assert model.short_time_power == short_time
+        assert (model.power_index, model.log_rate_scale) == (power, log_scale)
+
+    def test_exponents_that_do_not_apply_are_positive_zero(self):
+        for model in (StableSubordinator(0.5), DistributedOrderSubordinator()):
+            for dyn in (Monomial(0), Monomial(2), Exponential(1.0)):
+                pred = model.predict_rate(dyn)
+                zeros = [v for v in (pred.power, pred.log_power) if v == 0.0]
+                assert all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
+
 class TestConfig:
     def test_mapping(self):
         m = model_from_config({"class": "stable", "alpha": 0.5})
@@ -252,6 +276,11 @@ class TestConfig:
             {"class": "stable", "alpha": 0.5, "bogus": 1.0},
             {"class": "c3", "s": -1.0},
             {"alpha": 0.5},
+            {"class": "stable", "alpha": 0.5, "beta": 0.7},
+            {"class": "two-stable", "alpha": 0.5},
+            {"class": "distributed-order", "alpha": 0.5},
+            {"class": "c3", "scale": 2.0},
+            {"class": "c3", "s": 1.0, "alpha": 0.5},
         ],
     )
     def test_rejects_bad_configs(self, cfg):

@@ -15,6 +15,7 @@ from fractime import (
     Monomial,
     ParametricLogSubordinator,
     StableSubordinator,
+    SubordinatorModel,
     TwoStableSubordinator,
     UnsupportedModelError,
     estimate_ue,
@@ -111,6 +112,24 @@ class TestFirstPassage:
             vals = np.exp(-lam * draws)
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - math.exp(-model.laplace_exponent(lam))) <= 3.5 * se
+
+
+class TestCapabilityDispatch:
+    # samplers follow what a model states, not its class
+
+    def test_stable_sum_draws_each_index_in_order(self):
+        model = SubordinatorModel(stable_indices=(0.3, 0.5, 0.7))
+        sampler = _increment_sampler(model, McConfig(), level=1.0)
+        got = sampler.draw(0.1, 1000, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        want = (sample_stable(0.3, 0.1, rng, 1000) + sample_stable(0.5, 0.1, rng, 1000)
+                + sample_stable(0.7, 0.1, rng, 1000))
+        assert np.array_equal(got, want)
+
+    def test_single_stable_index_draws_directly(self):
+        cfg = McConfig(n_paths=5000, seed=9)
+        stated = estimate_ue(SubordinatorModel(stable_indices=(0.5,)), Exponential(1.0), 2.0, cfg)
+        assert stated == estimate_ue(StableSubordinator(0.5), Exponential(1.0), 2.0, cfg)
 
 
 class TestEstimate:

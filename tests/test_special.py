@@ -160,6 +160,36 @@ class TestWright:
             wright(-0.6, 0.4, -10.0, budget=60)
         assert wright(-0.6, 0.4, -10.0, budget=400) == pytest.approx(ref, rel=1e-10)
 
+    def test_hopeless_series_fails_without_a_high_precision_pass(self, monkeypatch):
+        # the double-precision scan already shows 400 nonzero terms before the
+        # peak (n_peak 12797), so no pass could see decay within the budget
+        from fractime import special
+
+        def no_pass(*args):
+            raise AssertionError("high-precision pass attempted")
+
+        monkeypatch.setattr(special, "_wright_sum", no_pass)
+        with pytest.raises(ConvergenceError):
+            wright(-0.74, 0.26, -16.8, budget=400)
+        ref = math.exp(-24.5 ** 2 / 4.0) / math.sqrt(math.pi)
+        assert wright(-0.5, 0.5, -24.5, budget=9) == ref
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.42, 0.74, 0.92])
+    def test_early_failure_spares_base_table_nodes(self, alpha):
+        # every node of the base density table (panels -11..0) still gets its pass
+        from fractime.special import _nonzero_terms, _wright_peak
+
+        gauss = np.polynomial.legendre.leggauss(32)[0] + 1.0
+        cutoff = density_tail_cutoff(alpha, 1.0, 1e-12)
+        nodes = [0.5 * math.ldexp(cutoff, -11) * x for x in gauss]
+        for k in range(-10, 1):
+            hi = math.ldexp(cutoff, k)
+            nodes += [0.25 * hi * x + 0.5 * hi for x in gauss]
+        for v in nodes:
+            # scan length as wright uses it at budget 400: 4 * (8 * budget)
+            _, n_peak = _wright_peak(-alpha, 1.0 - alpha, -v, 4 * 8 * 400)
+            assert _nonzero_terms(-alpha, 1.0 - alpha, n_peak) < 400
+
     def test_domain(self):
         with pytest.raises(DomainError):
             wright(0.5, 0.5, -1.0)

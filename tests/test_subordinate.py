@@ -233,6 +233,12 @@ def test_nontransform_routes_need_density():
                            [1.0, 2.0], route=CLOSED_FORM_ROUTE)
 
 
+@pytest.mark.parametrize("model", [StableSubordinator(0.5), DistributedOrderSubordinator()])
+def test_unknown_route_is_a_domain_error_for_every_model(model):
+    with pytest.raises(DomainError):
+        subordinated_curve(model, Exponential(1.0), [1.0, 2.0], route="bogus")
+
+
 def test_density_table_shared_across_threads():
     # concurrent points build and read the cached tables; values match serial bit for bit
     import concurrent.futures
