@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -139,7 +139,16 @@ def _as_output(value: complex, lam: Complex) -> Complex:
     return value.real
 
 
-class SubordinatorModel:
+class _FrozenOnReturn(type):
+    """Freezes a model once its whole constructor chain has returned."""
+
+    def __call__(cls, *args, **kwargs):
+        model = type.__call__(cls, *args, **kwargs)
+        object.__setattr__(model, "_frozen", True)
+        return model
+
+
+class SubordinatorModel(metaclass=_FrozenOnReturn):
     """Common surface of the subordinator families.
 
     Subclasses provide ``laplace_exponent``/``kernel_transform`` (everywhere)
@@ -156,16 +165,33 @@ class SubordinatorModel:
     * ``power_index`` and ``log_rate_scale``: the Cesaro exponents, so that
       t^n has running mean ~ t^(power_index n) (log t)^(log_rate_scale n)
       and exp(-a t) the same with n = -1; each is 0 where it does not apply.
+
+    Constructors set attributes freely; once the outermost one returns, the
+    model is frozen and setting or deleting an attribute raises
+    FrozenInstanceError, so the stated capabilities cannot drift from the
+    parameters the kernel methods read.
     """
 
     config_tag: str = ""
+    _frozen = False
 
     def __init__(self, *, stable_indices: tuple = (), short_time_power: float | None = None,
                  power_index: float = 0.0, log_rate_scale: float = 0.0):
-        self.stable_indices = stable_indices
-        self.short_time_power = short_time_power
-        self.power_index = power_index
-        self.log_rate_scale = log_rate_scale
+        # one dict update, not four __setattr__ calls: models are built per operation
+        vars(self).update(stable_indices=stable_indices, short_time_power=short_time_power,
+                          power_index=power_index, log_rate_scale=log_rate_scale)
+
+    def __setattr__(self, name, value):
+        if self._frozen:
+            raise FrozenInstanceError(
+                f"cannot assign {name!r}: {type(self).__name__} is immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if self._frozen:
+            raise FrozenInstanceError(
+                f"cannot delete {name!r}: {type(self).__name__} is immutable")
+        object.__delattr__(self, name)
 
     # -- transform side -----------------------------------------------------
     def laplace_exponent(self, lam: Complex) -> Complex:
@@ -435,7 +461,7 @@ def predict_cesaro_exponents(model: SubordinatorModel, dynamic: Dynamic) -> Rate
 
 def _constructor_parameters(cls) -> tuple:
     """(required, accepted) parameter names of a model class's constructor."""
-    params = inspect.signature(cls).parameters.values()
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
     return {p.name for p in params if p.default is p.empty}, {p.name for p in params}
 
 

@@ -13,9 +13,12 @@ parameter band the toolkit exercises (a in [0.3, 0.7], x <= 1e6); wright is
 summed in adaptive-precision arithmetic and is exact to double roundoff
 whenever it converges within its term budget.
 
-The elevated-precision series of both families share their z-independent
-coefficients 1/Gamma(a n + b): they are computed once per (index, precision)
-and cached, so a density table of many arguments pays for them once.
+mittag_leffler has three routes, all in double precision: the power series
+where its cancellation costs at most 2.5 digits, the divergent tail expansion
+for large x, and a Talbot contour integral everywhere else.  Only the Wright
+series needs adaptive precision; its z-independent coefficients
+1/Gamma(mu n + nu) are computed once per (index, precision) and cached, so a
+density table of many arguments pays for them once.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .laplace import InversionConfig, talbot_invert
 
 _LOG10 = math.log(10.0)
 
-# mpmath working precision is process-global state; the elevated-precision
-# series paths serialize on this lock so the module stays safe under
-# concurrent use (fast double paths and cache hits never take it)
+# mpmath working precision is process-global state; the Wright series passes
+# serialize on this lock so the module stays safe under concurrent use (fast
+# double paths and cache hits never take it)
 _MP_LOCK = threading.Lock()
 
 
@@ -59,9 +62,9 @@ def gamma_fn(x: float) -> float:
 class MLRegime:
     """Switchover control for E_a(-x) evaluation.
 
-    The series is used up to series_radius, the divergent tail expansion
-    from asymptotic_threshold on, and a Talbot contour integral of
-    l^(a-1)/(l^a + x) in between.
+    The series is used up to series_radius (where double precision allows),
+    the divergent tail expansion from asymptotic_threshold on, and a Talbot
+    contour integral of l^(a-1)/(l^a + x) everywhere else.
     """
 
     series_radius: float = 5.0
@@ -78,15 +81,15 @@ _DEFAULT_REGIME = MLRegime()
 _ML_TALBOT = InversionConfig(method="talbot", terms=24)
 
 
-def _ml_series_cost(alpha: float, x: float):
-    """(digits lost to cancellation, index of the largest series term)."""
+def _ml_digits_lost(alpha: float, x: float) -> float:
+    """Decimal digits the double series loses to cancellation near its peak term."""
     if x <= 1.0:
-        return 0.0, 8
+        return 0.0
     n_peak = max(1, int(round(x ** (1.0 / alpha) / alpha)))
     worst = 0.0
     for n in {max(1, n_peak // 2), n_peak, 2 * n_peak}:
         worst = max(worst, (n * math.log(x) - math.lgamma(alpha * n + 1.0)) / _LOG10)
-    return worst, n_peak
+    return worst
 
 
 def _ml_series_double(alpha: float, x: float) -> float:
@@ -99,29 +102,6 @@ def _ml_series_double(alpha: float, x: float) -> float:
             break
         n += 1
     return math.fsum(terms)
-
-
-def _ml_series_mp(alpha: float, x: float, digits_lost: float) -> float:
-    dps = int(30 + digits_lost)
-    with _MP_LOCK, mp.workdps(dps):
-        a = mp.mpf(alpha)
-        xx = mp.mpf(x)
-        coefs = _rgamma_series(alpha, 1.0, dps)
-        total = mp.mpf(0)
-        peak = mp.mpf(1)
-        stop = mp.mpf(10) ** (-(digits_lost + 25))
-        xpow = mp.mpf(1)
-        n = 0
-        while True:
-            if n == len(coefs):
-                coefs.append(mp.rgamma(a * n + 1))
-            term = xpow * coefs[n]
-            total += term
-            peak = max(peak, abs(term))
-            if n > 4 and abs(term) < peak * stop:
-                return float(total)
-            xpow *= -xx
-            n += 1
 
 
 def _ml_asymptotic(alpha: float, x: float) -> float:
@@ -147,13 +127,13 @@ def _ml_asymptotic(alpha: float, x: float) -> float:
 def mittag_leffler(alpha: float, x: float, regime: MLRegime | None = None) -> float:
     """E_a(-x) for 0 < a <= 1 and x >= 0.
 
-    Value lies in (0, 1] and decreases strictly in x.  Route selection:
-    power series (compensated in double where cancellation allows, in
-    elevated precision otherwise), Talbot inversion of l^(a-1)/(l^a + x)
-    for the intermediate band, and the divergent tail expansion beyond
-    ``regime.asymptotic_threshold``.  Within the series band the series is
-    abandoned for the contour when its peak term index would make elevated
-    precision more expensive than the contour (small a at the band edge).
+    Value lies in (0, 1] and decreases strictly in x.  Three routes:
+
+    * the compensated power series, up to ``regime.series_radius`` and only
+      where cancellation costs it at most 2.5 digits;
+    * the divergent tail expansion from ``regime.asymptotic_threshold`` on;
+    * Talbot inversion of l^(a-1)/(l^a + x) everywhere else, including the
+      part of the series band the double series cannot reach.
     """
     alpha = float(alpha)
     x = float(x)
@@ -168,12 +148,8 @@ def mittag_leffler(alpha: float, x: float, regime: MLRegime | None = None) -> fl
         return math.exp(-x)
     if x >= regime.asymptotic_threshold:
         return _ml_asymptotic(alpha, x)
-    if x <= regime.series_radius:
-        digits_lost, n_peak = _ml_series_cost(alpha, x)
-        if digits_lost <= 2.5:
-            return _ml_series_double(alpha, x)
-        if n_peak <= 300:
-            return _ml_series_mp(alpha, x, digits_lost)
+    if x <= regime.series_radius and _ml_digits_lost(alpha, x) <= 2.5:
+        return _ml_series_double(alpha, x)
     return talbot_invert(
         lambda lam: lam ** (alpha - 1.0) / (lam ** alpha + x), 1.0, _ML_TALBOT
     )
@@ -187,9 +163,10 @@ def _log10_abs_rgamma(arg: float) -> float:
     """log10 |1/Gamma(arg)|; -inf at the poles (where the term vanishes)."""
     if arg > 0.0:
         return -math.lgamma(arg) / _LOG10
-    s = abs(math.sin(math.pi * arg))
-    if s == 0.0:
+    if arg == math.floor(arg):
+        # sin(pi k) is ~1e-16, not 0, in double at the integers k < 0
         return -math.inf
+    s = abs(math.sin(math.pi * arg))
     return (math.lgamma(1.0 - arg) + math.log(s) - math.log(math.pi)) / _LOG10
 
 
@@ -290,9 +267,9 @@ def _wright_cached(mu: float, nu: float, z: float, budget: int) -> float:
 def _rgamma_series(a: float, b: float, dps: int) -> list:
     """1/Gamma(a n + b) for n = 0, 1, ... at dps digits, shared by every argument.
 
-    The list starts empty; a series running under _MP_LOCK at dps digits
-    appends term n's coefficient the first time it reaches n, so each entry
-    is the value that series would compute for itself.
+    Read by the Wright series only.  The list starts empty; a pass running
+    under _MP_LOCK at dps digits appends term n's coefficient the first time
+    it reaches n, so each entry is the value that pass would compute itself.
     """
     return []
 

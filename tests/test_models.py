@@ -1,6 +1,7 @@
 """Model surface: exponents, kernel transforms, kernels, rate predictions."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -237,6 +238,17 @@ class TestCapabilities:
         assert model.stable_indices == indices
         assert model.short_time_power == short_time
         assert (model.power_index, model.log_rate_scale) == (power, log_scale)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_models_are_immutable(self, model):
+        # a parameter the kernel reads cannot drift from the stated capabilities
+        params, indices = model.describe(), model.stable_indices
+        for name in [*params, "stable_indices", "short_time_power", "power_index", "extra"]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(model, name, 0.9)
+        with pytest.raises(FrozenInstanceError):
+            del model.power_index
+        assert (model.describe(), model.stable_indices) == (params, indices)
 
     def test_exponents_that_do_not_apply_are_positive_zero(self):
         for model in (StableSubordinator(0.5), DistributedOrderSubordinator()):

@@ -8,6 +8,7 @@ density for general indices.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -61,9 +62,19 @@ class TestMittagLeffler:
         # frozen from the series oracle; equals e * erfc(1)
         assert mittag_leffler(0.5, 1.0) == pytest.approx(0.4275835761558070, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    # past x = 1 most inputs lie where the double series would lose more than
+    # 2.5 digits, so the contour serves them inside the series band
+    SERIES_BAND = {
+        0.1: (0.01, 0.3, 1.0, 1.3),
+        0.2: (0.01, 0.3, 1.0, 1.8, 2.0),
+        0.3: (0.01, 0.3, 1.0, 2.7, 3.5, 4.9),
+        0.5: (0.01, 0.3, 1.0, 2.7, 3.5, 4.9),
+        0.7: (0.01, 0.3, 1.0, 2.7, 4.9),
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(SERIES_BAND))
     def test_series_band_against_oracle(self, alpha):
-        for x in (0.01, 0.3, 1.0, 2.7, 4.9):
+        for x in self.SERIES_BAND[alpha]:
             ref = ml_series_oracle(alpha, x)
             assert mittag_leffler(alpha, x) == pytest.approx(ref, rel=1e-10)
 
@@ -189,6 +200,16 @@ class TestWright:
             # scan length as wright uses it at budget 400: 4 * (8 * budget)
             _, n_peak = _wright_peak(-alpha, 1.0 - alpha, -v, 4 * 8 * 400)
             assert _nonzero_terms(-alpha, 1.0 - alpha, n_peak) < 400
+
+    def test_peak_scan_sees_every_pole(self):
+        # 1/Gamma vanishes at every nonpositive integer, where sin(pi k) in
+        # double is ~1e-16 rather than 0
+        from fractime.special import _log10_abs_rgamma
+
+        for k in (0.0, -1.0, -2.0, -3.0):
+            assert _log10_abs_rgamma(k) == -math.inf
+        ref = math.log10(abs(float(mp.rgamma(-2.5))))
+        assert _log10_abs_rgamma(-2.5) == pytest.approx(ref, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):
