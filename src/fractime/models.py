@@ -157,8 +157,8 @@ class SubordinatorModel(metaclass=_FrozenOnReturn):
 
     * ``stable_indices``: the indices of the independent stable subordinators
       the model is the sum of, () if it is no such sum.  One index gives
-      closed forms, density quadrature and direct sampling; any number gives
-      exact path increments.
+      closed forms and density quadrature; any number gives exact Monte
+      Carlo draws of the inverse time, with no time steps.
     * ``short_time_power``: the exponent g with u(t) ~ u0 (1 - c t^g) near
       zero for the kernel relaxation, None when the model has no
       time-domain kernel (transform routes only).

@@ -1,15 +1,17 @@
 """Monte Carlo oracle for the time-changed dynamics.
 
 Samples the subordinator and its inverse, estimating u^E(t) = E[u(E(t))]
-with standard errors.  What a model states decides the sampler: a model
-with a single stable index uses the exact one-draw construction (E(t)
-equals (t/S(1))^alpha in law); every other model simulates subordinator
-paths and records the first passage above the level t, with exact
-increments when it is a sum of stables and compound-Poisson increments
-built from its tail kernel otherwise (a model without a time-domain
-kernel cannot be simulated).  Streams are counter-based per fixed-size
-chunk, so results are bit-identical for a given (seed, n_paths) no matter
-how many workers run.
+with standard errors.  What a model states decides the sampler.  A sum of
+independent stables is drawn exactly, with no time steps: one index gives
+E(t) = (t/S(1))^alpha in law, and several give the root in s of
+sum_i s^(1/alpha_i) A_i = t with A_i one unit stable draw per index (that
+curve is increasing and has the one-dimensional laws of S(s), so
+P(root > s) = P(S(s) <= t) = P(E(t) > s)).  Every other model simulates
+compound-Poisson paths built from its tail kernel and records the first
+passage above the level t (a model without a time-domain kernel cannot be
+simulated).  Streams are counter-based per fixed-size chunk, so results
+are bit-identical for a given (seed, n_paths) no matter how many workers
+run.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
 
 
+def _stable_variates(rng: np.random.Generator, size):
+    """The uniform angle on (0, pi) and unit exponential behind one stable draw."""
+    return rng.uniform(0.0, np.pi, size), rng.exponential(1.0, size)
+
+
 def sample_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
     """Draw S(t) for the stable subordinator normalized by E[e^{-l S(t)}] = e^{-t l^a}.
 
@@ -69,8 +76,7 @@ def sample_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
         raise ConfigError(f"stable index must lie in (0,1), got {alpha}")
     if t <= 0.0:
         raise ConfigError("need t > 0")
-    u = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
+    u, w = _stable_variates(rng, size)
     unit = (
         np.sin(alpha * u)
         / np.sin(u) ** (1.0 / alpha)
@@ -85,26 +91,58 @@ def sample_inverse_stable(alpha: float, t: float, rng: np.random.Generator, size
     return (t / s1) ** float(alpha)
 
 
-# ---------------------------------------------------------------------------
-# Increment samplers for path simulation
-# ---------------------------------------------------------------------------
+def _log_stable_unit(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """log S(1) for index alpha, from the variates sample_stable draws.
 
-class _StableSumIncrements:
-    """Exact increments: independent sum of stable draws, one per index.
-
-    The indices are drawn in the model's order and summed in place.
+    Taken in logs, so that small indices, whose S(1) over- or underflows a
+    double (or turns NaN as inf * 0), keep a finite value.
     """
+    u, w = _stable_variates(rng, size)
+    with np.errstate(divide="ignore"):
+        return (np.log(np.sin(alpha * u)) - np.log(np.sin(u)) / alpha
+                + (1.0 - alpha) / alpha * (np.log(np.sin((1.0 - alpha) * u)) - np.log(w)))
 
-    def __init__(self, indices: tuple):
-        self.indices = indices
 
-    def draw(self, dt: float, size: int, rng) -> np.ndarray:
-        first, *rest = self.indices
-        out = sample_stable(first, dt, rng, size)
-        for index in rest:
-            out += sample_stable(index, dt, rng, size)
-        return out
+_NEWTON_TOL = 1e-10    # relative |dx| after which one more Newton step is taken
+_NEWTON_CAP = 100
 
+
+def _stable_sum_passage(indices: tuple, t: float, rng, n: int) -> np.ndarray:
+    """n exact draws of E(t) for S a sum of independent stables of the given indices.
+
+    One index draws (t/S(1))^alpha.  Several draw log A_i for each index in
+    order and solve g(x) = log sum_i exp(x/alpha_i + log A_i) - log t = 0 in
+    x = log s by Newton.  g is convex and increasing, and the smallest
+    single-term root min_i alpha_i (log t - log A_i) lies above the root, so
+    the iterates fall monotonically onto it.  A term with A_i = 0 drops out;
+    A_i = inf puts the root at s = 0.
+    """
+    if len(indices) == 1:
+        return sample_inverse_stable(indices[0], t, rng, n)
+    alphas = np.asarray(indices, dtype=float)[:, None]
+    log_a = np.stack([_log_stable_unit(a, rng, n) for a in indices])
+    log_t = math.log(t)
+    x = np.min(alphas * (log_t - log_a), axis=0)
+    live = np.flatnonzero(np.isfinite(x))
+    xs, la = x[live], log_a[:, live]
+    finishing = False
+    for _ in range(_NEWTON_CAP):
+        z = xs / alphas + la
+        top = z.max(axis=0)
+        e = np.exp(z - top)
+        total = e.sum(axis=0)
+        dx = (top + np.log(total) - log_t) * total / (e / alphas).sum(axis=0)
+        xs -= dx
+        if finishing:
+            x[live] = xs
+            return np.exp(x)
+        finishing = bool(np.all(np.abs(dx) <= _NEWTON_TOL * np.maximum(1.0, np.abs(xs))))
+    raise ConvergenceError("stable-sum passage root did not converge")
+
+
+# ---------------------------------------------------------------------------
+# Compound-Poisson path simulation
+# ---------------------------------------------------------------------------
 
 class _CompoundPoissonIncrements:
     """Compound Poisson above the cutoff plus deterministic small-jump drift.
@@ -143,14 +181,12 @@ class _CompoundPoissonIncrements:
         if total:
             jumps = self._jump_sizes(total, rng)
             owners = np.repeat(np.arange(size), counts)
-            np.add.at(inc, owners, jumps)
+            inc += np.bincount(owners, weights=jumps, minlength=size)
         return inc
 
 
 def _increment_sampler(model: SubordinatorModel, cfg: McConfig, level: float):
-    """Path increments of the model; UnsupportedModelError without a kernel."""
-    if model.stable_indices:
-        return _StableSumIncrements(model.stable_indices)
+    """Compound-Poisson path increments of the model; UnsupportedModelError without a kernel."""
     return _CompoundPoissonIncrements(model, cfg.jump_cutoff, cap=2.0 * level + 1.0)
 
 
@@ -187,6 +223,22 @@ def _first_passage_block(sampler, t: float, rng, step: float, n: int,
     return times
 
 
+def _check_level(t: float, step: float | None) -> None:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ConfigError(f"need a finite level t >= 0, got {t!r}")
+    if step is not None and not (math.isfinite(step) and step > 0.0):
+        raise ConfigError(f"need a finite step > 0, got {step!r}")
+
+
+def _passage_sampler(model: SubordinatorModel, t: float, step: float, cfg: McConfig):
+    """draw(rng, n) -> n draws of E(t): exact for stable sums, path-simulated otherwise."""
+    indices = model.stable_indices
+    if indices:
+        return lambda rng, n: _stable_sum_passage(indices, t, rng, n)
+    sampler = _increment_sampler(model, cfg, level=t)
+    return lambda rng, n: _first_passage_block(sampler, t, rng, step, n)
+
+
 def first_passage(
     model: SubordinatorModel,
     t: float,
@@ -194,15 +246,16 @@ def first_passage(
     step: float,
     cfg: McConfig | None = None,
 ) -> float:
-    """One first-passage draw of the inverse time E(t) by path simulation."""
-    if t < 0.0:
-        raise ConfigError("need t >= 0")
+    """One draw of the inverse time E(t) = inf{s : S(s) > t}.
+
+    Sums of stables are drawn exactly; compound-Poisson models simulate a
+    path with time step `step` (validated, but unused, for stable sums).
+    """
+    _check_level(t, step)
     if t == 0.0:
         return 0.0
-    if step <= 0.0:
-        raise ConfigError("need step > 0")
-    sampler = _increment_sampler(model, cfg or McConfig(), level=t)
-    return float(_first_passage_block(sampler, t, rng, step, 1)[0])
+    draw = _passage_sampler(model, t, step, cfg or McConfig())
+    return float(draw(rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +286,21 @@ def estimate_ue(
 ) -> McEstimate:
     """Estimate u^E(t) = E[u(E(t))] with its standard error.
 
-    Single-index stable models draw E(t) directly; path models default to
-    a step of t/512 for the passage scan.  Estimates are reduced chunk-by-chunk in a
-    fixed order, so (seed, n_paths) pins the result bit-for-bit whatever
-    the worker count.
+    Sums of stables draw E(t) exactly; `step` applies to compound-Poisson
+    models only, whose passage scan defaults to a step of t/512.  Estimates
+    are reduced chunk-by-chunk in a fixed order, so (seed, n_paths) pins
+    the result bit-for-bit whatever the worker count.
     """
-    if t <= 0.0:
+    _check_level(t, step)
+    if t == 0.0:
         raise ConfigError("need t > 0")
-    direct = len(model.stable_indices) == 1
-    sampler = None if direct else _increment_sampler(model, cfg, level=t)
-    if step is None:
-        step = t / 512.0
+    draw = _passage_sampler(model, t, t / 512.0 if step is None else step, cfg)
 
     n_chunks = (cfg.n_paths + _CHUNK - 1) // _CHUNK
 
     def run_chunk(c: int):
         n = min(_CHUNK, cfg.n_paths - c * _CHUNK)
-        rng = _chunk_rng(cfg.seed, c)
-        if direct:
-            draws = sample_inverse_stable(model.stable_indices[0], t, rng, n)
-        else:
-            draws = _first_passage_block(sampler, t, rng, step, n)
-        vals = _dynamic_values(dynamic, draws)
+        vals = _dynamic_values(dynamic, draw(_chunk_rng(cfg.seed, c), n))
         return float(vals.sum()), float(np.dot(vals, vals)), n
 
     workers = _worker_cap(cfg.workers)

@@ -274,12 +274,14 @@ def mc_concordance() -> CriterionResult:
                           runtime_budget=30.0)
     model = StableSubordinator(0.5)
     base = McConfig(n_paths=100_000, seed=20260810, workers=1)
-    for dyn, name in ((Monomial(1), "mono n=1"), (Exponential(1.0), "exp a=1")):
-        for t in (1.0, 10.0):
-            est = estimate_ue(model, dyn, t, base)
-            ref = subordinated_value(model, dyn, t)
-            dev = abs(est.mean - ref)
-            res.check(f"{name} t={t} |mc - inversion| vs 3 SE", dev, 3.0 * est.std_error)
+    for clock, prefix in ((model, ""), (TwoStableSubordinator(0.5, 0.75), "two-stable ")):
+        for dyn, name in ((Monomial(1), "mono n=1"), (Exponential(1.0), "exp a=1")):
+            for t in (1.0, 10.0):
+                est = estimate_ue(clock, dyn, t, base)
+                ref = subordinated_value(clock, dyn, t)
+                dev = abs(est.mean - ref)
+                res.check(f"{prefix}{name} t={t} |mc - inversion| vs 3 SE", dev,
+                          3.0 * est.std_error)
     runs = [
         estimate_ue(model, Exponential(1.0), 1.0,
                     McConfig(n_paths=100_000, seed=20260810, workers=w))
