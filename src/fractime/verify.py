@@ -282,6 +282,11 @@ def mc_concordance() -> CriterionResult:
                 dev = abs(est.mean - ref)
                 res.check(f"{prefix}{name} t={t} |mc - inversion| vs 3 SE", dev,
                           3.0 * est.std_error)
+    dist = DistributedOrderSubordinator()
+    for dyn, name in ((Monomial(1), "mono n=1"), (Exponential(1.0), "exp a=1")):
+        est = estimate_ue(dist, dyn, 1.0, McConfig(n_paths=50_000, seed=20260810, workers=1))
+        res.check(f"distributed-order {name} t=1.0 |mc - inversion| vs 3 SE",
+                  abs(est.mean - subordinated_value(dist, dyn, 1.0)), 3.0 * est.std_error)
     runs = [
         estimate_ue(model, Exponential(1.0), 1.0,
                     McConfig(n_paths=100_000, seed=20260810, workers=w))

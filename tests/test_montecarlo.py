@@ -2,13 +2,16 @@
 deterministic parallel reduction."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 from fractime import (
     ConfigError,
+    ConvergenceError,
     DistributedOrderSubordinator,
     Exponential,
     McConfig,
@@ -24,11 +27,15 @@ from fractime import (
     sample_stable,
     subordinated_value,
 )
+from fractime import montecarlo
 from fractime.montecarlo import (
     _chunk_rng,
-    _increment_sampler,
+    _compound_poisson_passage,
+    _CompoundPoisson,
     _log_stable_unit,
+    _passage_in_block,
     _stable_sum_passage,
+    _stable_variates,
 )
 from conftest import ml_erfcx_oracle
 
@@ -71,10 +78,32 @@ class TestInverseStableSampler:
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 1.0 / math.gamma(1.5)) <= 3.5 * se
 
+    def test_small_index_draws_stay_finite(self):
+        # at alpha = 0.01, S(1) comes out 0, inf or NaN for about 1e-3 of the
+        # draws; those are taken in logs, the rest keep (t / S(1))^alpha bit
+        # for bit, and both match (t / S(1))^alpha in 50-digit arithmetic
+        alpha, t, n = 0.01, 2.0, 200_000
+        draws = sample_inverse_stable(alpha, t, np.random.default_rng(6), n)
+        with np.errstate(all="ignore"):
+            direct = (t / sample_stable(alpha, 1.0, np.random.default_rng(6), n)) ** alpha
+        finite = (direct > 0.0) & (direct < np.inf)
+        assert np.all(np.isfinite(draws) & (draws > 0.0))
+        assert 0 < np.count_nonzero(~finite) < n // 100
+        np.testing.assert_array_equal(draws[finite], direct[finite])
+        u, w = _stable_variates(np.random.default_rng(6), n)
+        picks = np.concatenate([np.flatnonzero(~finite)[:40], np.flatnonzero(finite)[:10]])
+        with mp.workdps(50):
+            for i in picks:
+                ui, wi = mp.mpf(u[i]), mp.mpf(w[i])
+                s1 = (mp.sin(alpha * ui) / mp.sin(ui) ** (1 / mp.mpf(alpha))
+                      * (mp.sin((1 - mp.mpf(alpha)) * ui) / wi) ** ((1 - mp.mpf(alpha)) / alpha))
+                assert draws[i] == pytest.approx(float((t / s1) ** alpha), rel=1e-9)
+
 
 class TestFirstPassage:
     def test_zero_level(self, rng):
-        assert first_passage(StableSubordinator(0.5), 0.0, rng, step=0.01) == 0.0
+        assert first_passage(StableSubordinator(0.5), 0.0, rng) == 0.0
+        assert first_passage(DistributedOrderSubordinator(), 0.0, rng) == 0.0
 
     def test_stable_path_matches_direct_sampler(self, rng):
         # two-stable: the direct root draw against a fine-step path built from
@@ -105,35 +134,109 @@ class TestFirstPassage:
         assert np.all(times[0] > 0.0) and np.all(np.isfinite(times[-1]))
 
     def test_distributed_order_laplace_identity(self, rng):
-        # increments over disjoint steps compose to S(t); check E e^{-l S(t)}
+        # S(1) of the truncated process: drift plus a Poisson(rate) count of
+        # table jumps; check E e^{-l S(1)}
         model = DistributedOrderSubordinator()
-        sampler = _increment_sampler(model, McConfig(jump_cutoff=1e-4), level=50.0)
-        n, steps = 40_000, 10
-        total = np.zeros(n)
-        for _ in range(steps):
-            total += sampler.draw(0.1, n, rng)
+        process = _CompoundPoisson(model, 1e-4, cap=101.0)
+        n = 40_000
+        counts = rng.poisson(process.rate, n)
+        owners = np.repeat(np.arange(n), counts)
+        jumps = process.jump_sizes(rng.standard_exponential(owners.size))
+        total = process.drift + np.bincount(owners, weights=jumps, minlength=n)
         for lam in (0.5, 1.0):
             vals = np.exp(-lam * total)
             se = vals.std(ddof=1) / math.sqrt(n)
             target = math.exp(-1.0 * model.laplace_exponent(lam))
             assert abs(vals.mean() - target) <= 3.5 * se + 1e-4
 
-    def test_compound_poisson_increments_sum_each_paths_jumps(self):
-        # each increment is the drift plus that path's jumps, as a per-path loop gives
-        sampler = _increment_sampler(DistributedOrderSubordinator(), McConfig(), level=1.0)
-        got = sampler.draw(0.1, 500, np.random.default_rng(8))
-        rng = np.random.default_rng(8)
-        counts = rng.poisson(sampler.rate * 0.1, 500)
-        jumps = iter(sampler._jump_sizes(int(counts.sum()), rng))
-        want = [sampler.drift * 0.1 + sum(next(jumps) for _ in range(c)) for c in counts]
-        assert counts.max() > 5
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    def test_compound_poisson_increments_sum_each_paths_jumps(self, monkeypatch):
+        # each passage follows from that path's own waits and jumps, as a
+        # per-path loop over the same draws finds it, over many small passes
+        class Recorder:
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(8), []
+
+            def standard_exponential(self, shape):
+                out = self.rng.standard_exponential(shape)
+                self.draws.append(out.copy())
+                return out
+
+        process = _CompoundPoisson(DistributedOrderSubordinator(), 1e-4, cap=3.0)
+        monkeypatch.setattr(montecarlo, "_EVENT_BLOCK", 64)
+        recorder, n, t = Recorder(), 40, 1.0
+        got = _compound_poisson_passage(process, t, recorder, n)
+
+        want = np.full(n, np.nan)
+        state = {p: (0.0, 0.0) for p in range(n)}       # path -> (time, level)
+        for waits, exps in zip(recorder.draws[::2], recorder.draws[1::2]):
+            assert waits.shape[1] == len(state)
+            sizes = process.jump_sizes(exps)
+            for col, p in enumerate(list(state)):
+                time, level = state[p]
+                for wait, size in zip(waits[:, col] * (1.0 / process.rate), sizes[:, col]):
+                    if level + process.drift * wait > t:
+                        want[p] = time + (t - level) / process.drift
+                        break
+                    if level + (process.drift * wait + size) > t:
+                        want[p] = time + wait
+                        break
+                    time, level = time + wait, level + (process.drift * wait + size)
+                if np.isnan(want[p]):
+                    state[p] = (time, level)
+                else:
+                    del state[p]
+        assert not state and len(recorder.draws) > 20
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_passage_crossing_rule(self):
+        # hand-built events (drift 0.1, level 1): passage on the linear
+        # stretch, at a later jump, at the first event, and none in this block
+        waits = np.array([[20.0, 1.0, 0.5, 1.0],
+                          [1.0, 1.0, 1.0, 1.0]])
+        sizes = np.array([[0.1, 0.2, 2.0, 0.1],
+                          [1.0, 1.0, 1.0, 0.1]])
+        cols, passage, time, level = _passage_in_block(1.0, 0.1, np.zeros(4), np.zeros(4),
+                                                       waits, sizes)
+        assert cols.tolist() == [0, 1, 2]
+        np.testing.assert_allclose(passage, [10.0, 2.0, 0.5], rtol=1e-14)
+        assert (time[3], level[3]) == pytest.approx((2.0, 0.4), rel=1e-14)
+        # the path left below carries its time and level into the next pass
+        cols, passage, _, _ = _passage_in_block(1.0, 0.1, time[3:], level[3:],
+                                                np.array([[10.0]]), np.array([[0.1]]))
+        assert cols.tolist() == [0] and passage[0] == pytest.approx(8.0, rel=1e-14)
+
+    def test_passage_without_drift(self):
+        # no drift: passage only at jumps, a level equal to t has not passed, nothing divides by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cols, passage, time, level = _passage_in_block(
+                1.0, 0.0, np.zeros(2), np.zeros(2),
+                np.array([[1.0, 1.0], [2.0, 2.0]]), np.array([[0.5, 0.25], [0.5, 2.0]]))
+        assert cols.tolist() == [1] and passage.tolist() == [3.0]
+        assert (time[0], level[0]) == (3.0, 1.0)
+
+    def test_passage_law_matches_truncated_process(self):
+        # P(E(t) <= s) = P(S(s) > t) for the same truncated process, S(s) built
+        # from a Poisson(rate s) count of table jumps and the drift
+        process = _CompoundPoisson(DistributedOrderSubordinator(), 1e-4, cap=3.0)
+        n, t = 20_000, 1.0
+        passage = _compound_poisson_passage(process, t, np.random.default_rng(21), n)
+        rng = np.random.default_rng(22)
+        for s in (0.4, 1.0, 2.5):
+            counts = rng.poisson(process.rate * s, n)
+            owners = np.repeat(np.arange(n), counts)
+            jumps = process.jump_sizes(rng.standard_exponential(owners.size))
+            level = process.drift * s + np.bincount(owners, weights=jumps, minlength=n)
+            p_passed, p_above = np.mean(passage <= s), np.mean(level > t)
+            se = math.sqrt((p_passed * (1 - p_passed) + p_above * (1 - p_above)) / n)
+            assert 0.05 < p_passed < 0.95
+            assert abs(p_passed - p_above) <= 3.5 * se
 
     def test_two_stable_laplace_identity(self, rng):
         # S(1) = A_1 + A_2 from the log-domain unit draws the root solve uses
         model = TwoStableSubordinator(0.5, 0.75)
-        draws = np.exp(_log_stable_unit(0.5, rng, 100_000)) + np.exp(
-            _log_stable_unit(0.75, rng, 100_000))
+        draws = np.exp(_log_stable_unit(0.5, *_stable_variates(rng, 100_000))) + np.exp(
+            _log_stable_unit(0.75, *_stable_variates(rng, 100_000)))
         for lam in (0.5, 1.0):
             vals = np.exp(-lam * draws)
             se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -151,7 +254,7 @@ class TestCapabilityDispatch:
         for t in (1e-3, 1.0, 50.0):
             got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
             for _ in range(100):
-                s = first_passage(model, t, got_rng, step=0.1)
+                s = first_passage(model, t, got_rng)
                 units = [sample_stable(a, 1.0, want_rng, 1)[0] for a in indices]
                 level = sum(s ** (1.0 / a) * unit for a, unit in zip(indices, units))
                 assert level == pytest.approx(t, rel=1e-12)
@@ -178,23 +281,58 @@ class TestEstimate:
 
     def test_two_stable_against_inversion(self):
         model = TwoStableSubordinator(0.5, 0.75)
-        est = estimate_ue(model, Exponential(1.0), 1.0,
-                          McConfig(n_paths=20_000, seed=5), step=1.0 / 512)
+        est = estimate_ue(model, Exponential(1.0), 1.0, McConfig(n_paths=20_000, seed=5))
         ref = subordinated_value(model, Exponential(1.0), 1.0)
         assert abs(est.mean - ref) <= 3.0 * est.std_error
 
     def test_distributed_order_against_inversion(self):
         model = DistributedOrderSubordinator()
-        est = estimate_ue(model, Exponential(1.0), 1.0,
-                          McConfig(n_paths=20_000, seed=5), step=1.0 / 256)
+        est = estimate_ue(model, Exponential(1.0), 1.0, McConfig(n_paths=20_000, seed=5))
         ref = subordinated_value(model, Exponential(1.0), 1.0)
-        assert abs(est.mean - ref) <= 3.0 * est.std_error + 2e-3
+        assert abs(est.mean - ref) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("t", [1e5, 1e12])
+    @pytest.mark.parametrize("dynamic", [Monomial(1), Exponential(1.0)])
+    def test_distributed_order_at_long_times(self, t, dynamic):
+        # thousands of jumps per path, drawn a bounded block at a time
+        model = DistributedOrderSubordinator()
+        est = estimate_ue(model, dynamic, t, McConfig(n_paths=2000, seed=1))
+        ref = subordinated_value(model, dynamic, t)
+        assert math.isfinite(est.mean)
+        assert abs(est.mean - ref) <= 3.0 * est.std_error
+
+    def test_small_stable_index_against_inversion(self):
+        model = StableSubordinator(0.01)
+        est = estimate_ue(model, Exponential(1.0), 1.0, McConfig(n_paths=100_000, seed=1))
+        ref = subordinated_value(model, Exponential(1.0), 1.0)
+        assert math.isfinite(est.mean)
+        assert abs(est.mean - ref) <= 3.0 * est.std_error
+
+    def test_event_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_EVENT_CAP", 64)
+        with pytest.raises(ConvergenceError):
+            estimate_ue(DistributedOrderSubordinator(), Exponential(1.0), 1.0,
+                        McConfig(n_paths=1000, seed=0))
+
+    def test_non_finite_estimate_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError):
+            estimate_ue(StableSubordinator(0.5), Monomial(60), 1e12,
+                        McConfig(n_paths=1000, seed=0))
 
     def test_reproducible_across_workers(self):
         model = StableSubordinator(0.5)
         runs = [
             estimate_ue(model, Exponential(1.0), 1.0,
                         McConfig(n_paths=50_000, seed=42, workers=w))
+            for w in (1, 3, 8)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_distributed_order_reproducible_across_workers(self):
+        model = DistributedOrderSubordinator()
+        runs = [
+            estimate_ue(model, Monomial(1), 1.0,
+                        McConfig(n_paths=20_000, seed=42, workers=w))
             for w in (1, 3, 8)
         ]
         assert runs[0] == runs[1] == runs[2]
@@ -218,30 +356,39 @@ class TestEstimate:
                 draws = _stable_sum_passage(indices, t, _chunk_rng(17, chunk), 4096)
                 assert np.all((draws > 0.0) & np.isfinite(draws))
                 rng = _chunk_rng(17, chunk)
-                log_a = np.stack([_log_stable_unit(a, rng, 4096) for a in indices])
+                log_a = np.stack([_log_stable_unit(a, *_stable_variates(rng, 4096))
+                                  for a in indices])
                 log_level = np.logaddexp.reduce(np.log(draws) / alphas + log_a, axis=0)
                 assert np.max(np.abs(log_level - math.log(t))) <= 1e-12
 
-    @pytest.mark.parametrize("model,t,step", [
-        (StableSubordinator(0.5), math.nan, None),
-        (TwoStableSubordinator(0.5, 0.75), math.nan, None),
-        (TwoStableSubordinator(0.5, 0.75), math.inf, None),
-        (DistributedOrderSubordinator(), math.inf, None),
-        (DistributedOrderSubordinator(), 1.0, -0.1),
-        (DistributedOrderSubordinator(), 1.0, math.nan),
-        (TwoStableSubordinator(0.5, 0.75), 1.0, 0.0),
+    @pytest.mark.parametrize("model,t", [
+        (StableSubordinator(0.5), math.nan),
+        (TwoStableSubordinator(0.5, 0.75), math.nan),
+        (TwoStableSubordinator(0.5, 0.75), math.inf),
+        (DistributedOrderSubordinator(), math.inf),
     ])
-    def test_level_and_step_validation(self, rng, model, t, step):
+    def test_level_validation(self, rng, model, t):
         with pytest.raises(ConfigError):
-            estimate_ue(model, Exponential(1.0), t, McConfig(n_paths=1000, seed=0), step=step)
+            estimate_ue(model, Exponential(1.0), t, McConfig(n_paths=1000, seed=0))
         with pytest.raises(ConfigError):
-            first_passage(model, t, rng, step=1e-2 if step is None else step)
+            first_passage(model, t, rng)
 
     def test_seed_changes_result(self):
         model = StableSubordinator(0.5)
         a = estimate_ue(model, Exponential(1.0), 1.0, McConfig(n_paths=5000, seed=1))
         b = estimate_ue(model, Exponential(1.0), 1.0, McConfig(n_paths=5000, seed=2))
         assert a.mean != b.mean
+
+    def test_kernel_without_jumps_is_unsupported(self):
+        class Frozen(SubordinatorModel):
+            def kernel(self, t):
+                return 0.0 * np.asarray(t, dtype=float)
+
+            def kernel_integral(self, t):
+                return 0.0 * np.asarray(t, dtype=float)
+
+        with pytest.raises(UnsupportedModelError):
+            estimate_ue(Frozen(), Exponential(1.0), 1.0, McConfig(n_paths=1000, seed=0))
 
     def test_unsupported_model(self):
         with pytest.raises(UnsupportedModelError):
