@@ -22,6 +22,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,9 +107,20 @@ def sample_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
 
     Uses the exact trigonometric construction (uniform angle + unit
     exponential), rejection-free, with S(t) = t^(1/a) S(1) by self-similarity.
+    Where that product comes out 0, inf or NaN (at small indices S(1) over-
+    or underflows a double, or turns NaN as inf * 0), S(t) is recomputed in
+    logs from the same variates and takes its 0 or inf limit only where the
+    value itself does not fit a double.
     """
     alpha = _check_stable(alpha, t)
-    return t ** (1.0 / alpha) * _stable_unit(alpha, *_stable_variates(rng, size))
+    u, w = _stable_variates(rng, size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        draws = np.float64(t) ** (1.0 / alpha) * _stable_unit(alpha, u, w)
+        if not (draws.min() > 0.0 and draws.max() < np.inf):    # NaN fails both
+            lost = ~((draws > 0.0) & (draws < np.inf))
+            logs = math.log(t) / alpha + _log_stable_unit(alpha, u, w)
+            draws = np.where(lost, np.exp(logs), draws)[()]   # a scalar stays a scalar
+    return draws
 
 
 def sample_inverse_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
@@ -125,7 +137,7 @@ def sample_inverse_stable(alpha: float, t: float, rng: np.random.Generator, size
         if not (draws.min() > 0.0 and draws.max() < np.inf):    # NaN fails both
             lost = ~((draws > 0.0) & (draws < np.inf))
             logs = alpha * (math.log(t) - _log_stable_unit(alpha, u, w))
-            draws = np.where(lost, np.exp(logs), draws)
+            draws = np.where(lost, np.exp(logs), draws)[()]   # a scalar stays a scalar
     return draws
 
 
@@ -203,6 +215,7 @@ class _CompoundPoisson:
         self._log_x = np.interp(np.linspace(log_u[0], 0.0, _JUMP_NODES), log_u,
                                 np.log(xs[::-1]))
         self._slope = np.diff(self._log_x)
+        self._log_x.flags.writeable = self._slope.flags.writeable = False   # shared via the cache
         self._per_node = (_JUMP_NODES - 1) / self._depth
 
     def jump_sizes(self, e: np.ndarray) -> np.ndarray:
@@ -216,6 +229,11 @@ class _CompoundPoisson:
         pos *= self._slope[i]
         pos += self._log_x[i]
         return np.exp(pos, out=pos)
+
+
+# models are immutable, so the process built for one (model, cutoff, cap) stays
+# valid: repeated draws at one level skip the kernel table and its inverse
+_compound_poisson = lru_cache(maxsize=8)(_CompoundPoisson)
 
 
 def _passage_in_block(t: float, drift: float, time, level, waits, sizes):
@@ -290,7 +308,7 @@ def _passage_sampler(model: SubordinatorModel, t: float, cfg: McConfig):
     indices = model.stable_indices
     if indices:
         return lambda rng, n: _stable_sum_passage(indices, t, rng, n)
-    process = _CompoundPoisson(model, cfg.jump_cutoff, cap=2.0 * t + 1.0)
+    process = _compound_poisson(model, cfg.jump_cutoff, 2.0 * t + 1.0)
     return lambda rng, n: _compound_poisson_passage(process, t, rng, n)
 
 

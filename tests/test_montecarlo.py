@@ -35,6 +35,7 @@ from fractime.montecarlo import (
     _log_stable_unit,
     _passage_in_block,
     _stable_sum_passage,
+    _stable_unit,
     _stable_variates,
 )
 from conftest import ml_erfcx_oracle
@@ -61,6 +62,36 @@ class TestStableSampler:
         ks = kstest(draws, cdf)
         assert ks.statistic <= 0.02
 
+    def test_small_index_draws_have_no_nan(self):
+        # at alpha = 0.01 the product t^(1/alpha) S(1) comes out NaN (inf * 0)
+        # for about 1.25e-4 of the draws, and 0 or inf for more; those are
+        # recomputed in logs, and every draw the product got right keeps
+        # its bytes
+        alpha, t, n = 0.01, 1.0, 1_000_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_stable(alpha, t, np.random.default_rng(1), n)
+        u, w = _stable_variates(np.random.default_rng(1), n)
+        with np.errstate(all="ignore"):
+            product = t ** (1.0 / alpha) * _stable_unit(alpha, u, w)
+        kept = (product > 0.0) & (product < np.inf)
+        assert np.count_nonzero(np.isnan(product)) > 0
+        assert not np.any(np.isnan(draws))
+        np.testing.assert_array_equal(draws[kept].view(np.int64), product[kept].view(np.int64))
+        logs = math.log(t) / alpha + _log_stable_unit(alpha, u[~kept], w[~kept])
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(draws[~kept], np.exp(logs))
+        # only values beyond the range of a double take the 0 or inf limit
+        assert np.all(np.isinf(draws[~kept]) == (logs > math.log(np.finfo(float).max)))
+        assert not np.any(draws == 0.0)
+
+    def test_small_index_scalar_draws_stay_scalars(self):
+        # single draws that take the log form come back as floats, like the rest
+        rng = np.random.default_rng(1)
+        for sampler in (sample_stable, sample_inverse_stable):
+            draws = [sampler(0.01, 1.0, rng) for _ in range(5000)]
+            assert all(isinstance(d, float) for d in draws)
+
 
 class TestInverseStableSampler:
     def test_nonnegative(self, rng):
@@ -79,13 +110,15 @@ class TestInverseStableSampler:
         assert abs(draws.mean() - 1.0 / math.gamma(1.5)) <= 3.5 * se
 
     def test_small_index_draws_stay_finite(self):
-        # at alpha = 0.01, S(1) comes out 0, inf or NaN for about 1e-3 of the
-        # draws; those are taken in logs, the rest keep (t / S(1))^alpha bit
-        # for bit, and both match (t / S(1))^alpha in 50-digit arithmetic
+        # at alpha = 0.01, the product formula for S(1) comes out 0, inf or NaN
+        # for about 1e-3 of the draws; those are taken in logs, the rest keep
+        # (t / S(1))^alpha bit for bit, and both match (t / S(1))^alpha in
+        # 50-digit arithmetic
         alpha, t, n = 0.01, 2.0, 200_000
         draws = sample_inverse_stable(alpha, t, np.random.default_rng(6), n)
         with np.errstate(all="ignore"):
-            direct = (t / sample_stable(alpha, 1.0, np.random.default_rng(6), n)) ** alpha
+            unit = _stable_unit(alpha, *_stable_variates(np.random.default_rng(6), n))
+            direct = (t / unit) ** alpha
         finite = (direct > 0.0) & (direct < np.inf)
         assert np.all(np.isfinite(draws) & (draws > 0.0))
         assert 0 < np.count_nonzero(~finite) < n // 100
@@ -231,6 +264,28 @@ class TestFirstPassage:
             se = math.sqrt((p_passed * (1 - p_passed) + p_above * (1 - p_above)) / n)
             assert 0.05 < p_passed < 0.95
             assert abs(p_passed - p_above) <= 3.5 * se
+
+    def test_repeated_passages_build_the_jump_table_once(self):
+        # models are immutable, so the truncated process of one (model,
+        # cutoff, level) is built once and later draws skip the kernel
+        class Counting(DistributedOrderSubordinator):
+            def __init__(self):
+                super().__init__()
+                self.kernel_calls = []
+
+            def kernel(self, t):
+                self.kernel_calls.append(np.size(t))
+                return super().kernel(t)
+
+        model = Counting()
+        first = first_passage(model, 1.0, np.random.default_rng(3))
+        calls = list(model.kernel_calls)
+        again = [first_passage(model, 1.0, np.random.default_rng(3)) for _ in range(5)]
+        assert calls and model.kernel_calls == calls
+        assert again == [first] * 5
+        plain = _CompoundPoisson(DistributedOrderSubordinator(), 1e-4, cap=3.0)
+        want = _compound_poisson_passage(plain, 1.0, np.random.default_rng(3), 1)[0]
+        assert first == want
 
     def test_two_stable_laplace_identity(self, rng):
         # S(1) = A_1 + A_2 from the log-domain unit draws the root solve uses

@@ -18,6 +18,26 @@ from fractime import (
     solve_relaxation,
     subordinated_value,
 )
+from fractime.relaxation import _BLOCK, _scheme_arrays
+
+
+def forward_substitution(prob):
+    """The scheme solved one row at a time: the plain reference for the blocked solve."""
+    t, cumulative, weights, b = _scheme_arrays(prob)
+    steps = t.size - 1
+    u = np.empty(steps + 1)
+    u[0] = prob.u0
+    ah = prob.a * prob.h
+    running = 0.0  # sum of u_1..u_{m-1}
+    for m in range(1, steps + 1):
+        if m == 1:
+            u[1] = prob.u0 * (cumulative[1] + b[1]) / (weights[0] + b[1] + ah)
+        else:
+            conv = float(np.dot(weights[m - 1:0:-1], u[1:m]))
+            rhs = prob.u0 * cumulative[m] - conv - b[m] * (u[1] - prob.u0) - ah * running
+            u[m] = rhs / (weights[0] + ah)
+        running += u[m]
+    return u
 
 
 def test_zero_damping_is_constant():
@@ -129,3 +149,31 @@ def test_any_model_stating_a_short_time_power_is_solved():
     named = solve_relaxation(RelaxationProblem(StableSubordinator(0.5), a=1.0, h=1e-2,
                                                horizon=1.0))
     assert np.array_equal(stated.values, named.values)
+
+
+@pytest.mark.parametrize("model", [
+    StableSubordinator(0.5),
+    TwoStableSubordinator(0.3, 0.8),
+    DistributedOrderSubordinator(),
+], ids=["stable", "two-stable", "distributed-order"])
+@pytest.mark.parametrize("steps", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
+def test_blocked_solve_matches_forward_substitution(model, steps):
+    for a in (0.0, 1.0, 3.0):
+        for u0 in (0.0, 2.5):
+            prob = RelaxationProblem(model, a=a, u0=u0, h=1e-3, horizon=steps * 1e-3)
+            sol = solve_relaxation(prob)
+            assert sol.values.size == steps + 1
+            assert np.max(np.abs(sol.values - forward_substitution(prob))) <= 1e-12
+            assert residual_check(sol, prob) <= 1e-12
+
+
+def test_scheme_arrays_are_cached_read_only():
+    prob = RelaxationProblem(StableSubordinator(0.5), a=1.0, h=1e-2, horizon=1.0)
+    arrays = _scheme_arrays(prob)
+    assert _scheme_arrays(prob) is arrays
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # the solution carries its own grid, not the cached one
+    assert solve_relaxation(prob).abscissae.flags.writeable
