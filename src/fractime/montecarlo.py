@@ -56,11 +56,19 @@ class McConfig:
             raise ConfigError("jump_cutoff must lie in (0, 1)")
 
 
+# below this Kish effective sample size a mean rests on a handful of draws
+_MIN_ESS = 10.0
+
+
 @dataclass(frozen=True)
 class McEstimate:
+    """Mean of u(E(t)) over n paths, its standard error, and the effective
+    sample size (sum v)^2 / sum v^2 of the values v = u(E(t)) behind it."""
+
     mean: float
     std_error: float
     n: int
+    ess: float
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -362,7 +370,9 @@ def estimate_ue(
     from its events (the one approximation is `cfg.jump_cutoff`).  Estimates
     are reduced chunk-by-chunk in a fixed order, so (seed, n_paths) pins
     the result bit-for-bit whatever the worker count.  A mean or standard
-    error that is not finite raises ConvergenceError.
+    error that is not finite raises ConvergenceError, and so does an
+    effective sample size below 10: a rare-event expectation carried by a
+    few draws has a standard error as unreliable as its mean.
     """
     _check_level(t)
     if t == 0.0:
@@ -390,9 +400,15 @@ def estimate_ue(
                 sums[c], squares[c], counts[c] = s, q, n
 
     n_total = int(counts.sum())
-    mean = float(np.sum(sums)) / n_total
+    total = float(np.sum(sums))
+    mean = total / n_total
     ssq = float(np.sum(squares))
     var = max(0.0, (ssq - n_total * mean * mean) / (n_total - 1))
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise ConvergenceError(f"Monte Carlo estimate of u^E({t!r}) is not finite: mean {mean!r}")
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n_total), n=n_total)
+    ess = total * total / ssq if ssq > 0.0 else 0.0
+    if not ess >= _MIN_ESS:
+        raise ConvergenceError(
+            f"Monte Carlo estimate of u^E({t!r}) rests on an effective sample of "
+            f"{ess:.3g} of {n_total} paths (need {_MIN_ESS:g}): a rare-event expectation")
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n_total), n=n_total, ess=ess)

@@ -1,12 +1,14 @@
 """Model surface: exponents, kernel transforms, kernels, rate predictions."""
 
 import math
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import rgamma
 
 from fractime import (
     ConfigError,
@@ -24,6 +26,7 @@ from fractime import (
     parse_dynamic,
     predict_cesaro_exponents,
 )
+from fractime.models import _DO_CUM_W, _DO_KERNEL_W, _DO_NODES, _DO_WEIGHTS
 
 ALL_MODELS = [
     StableSubordinator(0.3),
@@ -172,6 +175,29 @@ class TestKernel:
         val = quad(lambda t: math.exp(-lam * t) * model.kernel(t), 0.0, upper,
                    limit=400, full_output=1)[0]
         assert val == pytest.approx(model.kernel_transform(lam), rel=1e-4)
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    def test_distributed_order_power_sums_match_term_powers(self, gamma):
+        # each order-quadrature sum against one pow per node; t = 0 gives exactly
+        # 0 without a log(0) or a divide warning
+        model = DistributedOrderSubordinator()
+        t = np.concatenate(([0.0], np.logspace(-6, 12, 181)))
+        conv_w = _DO_WEIGHTS * math.gamma(1.0 + gamma) * rgamma(1.0 + gamma + _DO_NODES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cases = [
+                (model.kernel(t[1:]), t[1:], _DO_NODES - 1.0, _DO_KERNEL_W),
+                (model.kernel_integral(t), t, _DO_NODES, _DO_CUM_W),
+                (model.kernel_conv_power(gamma, t), t, gamma + _DO_NODES, conv_w),
+            ]
+            assert model.kernel_integral(0.0) == 0.0
+            assert model.kernel_conv_power(gamma, 0.0) == 0.0
+        for got, ts, exponents, weights in cases:
+            want = (np.power.outer(ts, exponents) * weights).sum(axis=-1)
+            assert np.all(got[ts == 0.0] == 0.0)
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        with pytest.raises(DomainError):
+            model.kernel_conv_power(gamma, -1.0)
 
     def test_cumulative_matches_order_quadrature(self):
         # adaptive quadrature over the order variable of the exact

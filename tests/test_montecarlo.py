@@ -374,6 +374,26 @@ class TestEstimate:
             estimate_ue(StableSubordinator(0.5), Monomial(60), 1e12,
                         McConfig(n_paths=1000, seed=0))
 
+    def test_rare_event_estimate_raises(self):
+        # u_E(1e12) ~ 2.8e-7 rests on one or two of 1e5 draws: effective sample ~1
+        with pytest.raises(ConvergenceError, match="effective sample"):
+            estimate_ue(StableSubordinator(0.5), Exponential(2.0), 1e12,
+                        McConfig(n_paths=100_000, seed=0))
+
+    def test_effective_sample_size(self):
+        est = estimate_ue(StableSubordinator(0.5), Monomial(0), 5.0,
+                          McConfig(n_paths=1000, seed=1))
+        assert est.ess == 1000.0
+        est = estimate_ue(StableSubordinator(0.5), Exponential(2.0), 1.0,
+                          McConfig(n_paths=10_000, seed=0))
+        assert 1000.0 < est.ess < est.n
+
+    def test_all_zero_values_raise(self):
+        # exp(-a E) underflows to 0 on every path: no sample to speak of
+        with pytest.raises(ConvergenceError, match="effective sample"):
+            estimate_ue(StableSubordinator(0.5), Exponential(1e6), 1e6,
+                        McConfig(n_paths=1000, seed=0))
+
     def test_reproducible_across_workers(self):
         model = StableSubordinator(0.5)
         runs = [

@@ -8,6 +8,7 @@ from fractime import (
     ConfigError,
     DistributedOrderSubordinator,
     Exponential,
+    GridFunction,
     ParametricLogSubordinator,
     RelaxationProblem,
     StableSubordinator,
@@ -38,6 +39,28 @@ def forward_substitution(prob):
             u[m] = rhs / (weights[0] + ah)
         running += u[m]
     return u
+
+
+def direct_scheme_arrays(prob):
+    """The scheme's tables with the starting correction from a direct convolution:
+    the plain reference for the FFT one."""
+    t, cumulative, weights, _ = _scheme_arrays(prob)
+    steps = t.size - 1
+    g = prob.model.short_time_power
+    tg = t ** g
+    b = np.zeros(steps + 1)
+    b[1:] = (prob.model.kernel_conv_power(g, t[1:]) - np.convolve(weights, tg[1:])[:steps]) / tg[1]
+    return t, cumulative, weights, b
+
+
+def direct_residual(solution, prob):
+    """residual_check assembled from a direct convolution."""
+    t, cumulative, weights, b = _scheme_arrays(prob)
+    u = solution.values
+    conv = np.convolve(weights, u[1:])[:t.size - 1]
+    defect = (conv + b[1:] * (u[1] - prob.u0) - prob.u0 * cumulative[1:]
+              + prob.a * prob.h * np.cumsum(u[1:]))
+    return float(np.max(np.abs(defect)))
 
 
 def test_zero_damping_is_constant():
@@ -80,7 +103,7 @@ def test_first_order_convergence():
 def test_converged_residual_is_roundoff():
     prob = RelaxationProblem(StableSubordinator(0.5), a=1.0, h=1e-3, horizon=1.0)
     sol = solve_relaxation(prob)
-    assert residual_check(sol, prob) <= 1e-6
+    assert residual_check(sol, prob) <= 1e-12
 
 
 def test_positive_and_nonincreasing():
@@ -177,3 +200,40 @@ def test_scheme_arrays_are_cached_read_only():
             arr[0] = 1.0
     # the solution carries its own grid, not the cached one
     assert solve_relaxation(prob).abscissae.flags.writeable
+
+
+SCHEME_MODELS = [StableSubordinator(0.5), TwoStableSubordinator(0.3, 0.8),
+                 DistributedOrderSubordinator()]
+SCHEME_IDS = ["stable", "two-stable", "distributed-order"]
+
+
+@pytest.mark.parametrize("model", SCHEME_MODELS, ids=SCHEME_IDS)
+@pytest.mark.parametrize("steps", [1, 2, 33, 5000])
+def test_scheme_arrays_match_direct_convolution(model, steps):
+    prob = RelaxationProblem(model, a=1.0, h=1e-3, horizon=steps * 1e-3)
+    t, cumulative, weights, b = _scheme_arrays(prob)
+    ref = direct_scheme_arrays(prob)
+    for got, want in zip((t, cumulative, weights), ref[:3]):
+        assert np.array_equal(got, want)
+    # b is the correction divided by t_1^g; compare it in the convolution's own units
+    assert np.max(np.abs(b - ref[3])) * t[1] ** model.short_time_power <= 1e-13
+
+
+@pytest.mark.parametrize("model", SCHEME_MODELS, ids=SCHEME_IDS)
+def test_residual_matches_direct_convolution(model):
+    prob = RelaxationProblem(model, a=1.0, u0=2.5, h=1e-3, horizon=5.0)
+    sol = solve_relaxation(prob)
+    assert abs(residual_check(sol, prob) - direct_residual(sol, prob)) <= 1e-13
+
+
+@pytest.mark.parametrize("model", SCHEME_MODELS, ids=SCHEME_IDS)
+@pytest.mark.parametrize("row", ["interior", "last"])
+def test_residual_check_sees_a_bumped_row(model, row):
+    # a bump d in row m moves that row's defect by (W_0 + a h) d, at least 0.12 d here
+    prob = RelaxationProblem(model, a=1.0, h=1e-2, horizon=5.0)
+    sol = solve_relaxation(prob)
+    assert residual_check(sol, prob) <= 1e-12
+    m = sol.values.size // 2 if row == "interior" else sol.values.size - 1
+    bumped = sol.values.copy()
+    bumped[m] += 1e-9
+    assert residual_check(GridFunction(sol.abscissae, bumped), prob) >= 1e-10
