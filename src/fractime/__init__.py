@@ -39,7 +39,6 @@ from .models import (
     UserTransform,
     model_from_config,
     parse_dynamic,
-    predict_cesaro_exponents,
 )
 from .special import (
     MLRegime,

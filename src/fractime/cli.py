@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import __version__
 from .asymptotics import cesaro_curve, cesaro_mean, fit_rate
 from .errors import ConfigError, FractimeError
 from .grids import GridFunction, log_grid
-from .laplace import InversionConfig, gaver_stehfest_invert, talbot_invert
+from .laplace import InversionConfig, gaver_stehfest_config, invert
 from .models import model_from_config, parse_dynamic
 from .montecarlo import McConfig, estimate_ue
 from .relaxation import RelaxationProblem, residual_check, solve_relaxation
@@ -76,9 +77,8 @@ def _model_from_args(args):
 
 
 def _inversion_config(args) -> InversionConfig:
-    method = "gaver-stehfest" if args.method == "gs" else "talbot"
-    terms = args.terms if args.terms is not None else (16 if method == "gaver-stehfest" else 32)
-    return InversionConfig(method=method, terms=terms)
+    cfg = gaver_stehfest_config() if args.method == "gs" else InversionConfig()
+    return cfg if args.terms is None else replace(cfg, terms=args.terms)
 
 
 def _grid_from_args(text: str) -> np.ndarray:
@@ -165,9 +165,7 @@ def _cmd_invert(args):
         transform = _TEST_TRANSFORMS[name][0]
     else:
         raise _UsageError(f"unknown --transform {name!r}")
-    cfg = _inversion_config(args)
-    invert_fn = talbot_invert if cfg.method == "talbot" else gaver_stehfest_invert
-    value = invert_fn(transform, args.t, cfg)
+    value = invert(transform, args.t, _inversion_config(args))
     manifest = _manifest(args, "invert", {"transform": name})
     if args.json:
         _emit(args, manifest, {"t": args.t, "value": value})

@@ -1,24 +1,26 @@
 """Subordinator models and the dynamics they are applied to.
 
-A model bundles the Laplace exponent of an increasing Levy process, the
-tail kernel of its Levy measure, and that kernel's Laplace transform.  The
-three families implemented are distinguished by the small-frequency
-behavior of the kernel transform, which is what drives their long-time
-Cesaro rates:
+A model is a frozen dataclass whose fields are the parameters of an
+increasing Levy process.  Each family states its kernel transform K, the
+Laplace transform of the tail kernel of the Levy measure, and, where it has
+one, that kernel; the Laplace exponent l K(l) is derived from K once, in
+the common base.  The three kinds of family are distinguished by the
+small-frequency behavior of K, which is what drives their long-time Cesaro
+rates:
 
 * power-kernel models (stable, sum of two stables): transform ~ l^(a-1);
 * the distributed-order model: transform ~ 1/(l log(1/l));
 * a parametric log-kernel family: transform ~ (1/l) (log(1/l))^(-1-s).
 
-All models are immutable; every method is pure.
+Models are immutable and compare and hash by their parameters; every method
+is pure.
 """
 
 from __future__ import annotations
 
 import cmath
-import inspect
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -113,22 +115,17 @@ class RatePrediction:
 # Models
 # ---------------------------------------------------------------------------
 
-def _require_right_half(lam: Complex, strict: bool) -> complex:
-    """Domain guard for exponent/transform evaluation.
+def _require_right_half(lam: Complex) -> complex:
+    """Domain guard for kernel-transform evaluation.
 
-    Real arguments must lie in the right half-line (strictly positive for
-    kernel transforms, which diverge at zero).  Complex arguments may sit
-    anywhere off the branch cut: inversion contours bend into the left
-    half-plane but keep a nonzero imaginary part, so principal branches
-    are never crossed.
+    Real arguments must be strictly positive: the kernel transforms diverge
+    at zero.  Complex arguments may sit anywhere off the branch cut:
+    inversion contours bend into the left half-plane but keep a nonzero
+    imaginary part, so principal branches are never crossed.
     """
     z = complex(lam)
-    if z.imag == 0.0:
-        if z.real < 0.0 or (strict and z.real == 0.0):
-            kind = "positive" if strict else "nonnegative"
-            raise DomainError(f"real argument must be {kind}, got {lam!r}")
-    elif strict and z == 0.0:
-        raise DomainError("kernel transform diverges at zero")
+    if z.imag == 0.0 and z.real <= 0.0:
+        raise DomainError(f"real argument must be positive, got {lam!r}")
     return z
 
 
@@ -139,21 +136,15 @@ def _as_output(value: complex, lam: Complex) -> Complex:
     return value.real
 
 
-class _FrozenOnReturn(type):
-    """Freezes a model once its whole constructor chain has returned."""
-
-    def __call__(cls, *args, **kwargs):
-        model = type.__call__(cls, *args, **kwargs)
-        object.__setattr__(model, "_frozen", True)
-        return model
-
-
-class SubordinatorModel(metaclass=_FrozenOnReturn):
+class SubordinatorModel:
     """Common surface of the subordinator families.
 
-    Subclasses provide ``laplace_exponent``/``kernel_transform`` (everywhere)
-    and kernel-side methods where a kernel is defined.  Each model states
-    what its kernel allows in attributes set once by its constructor:
+    Each family is a frozen dataclass whose fields are its parameters.  It
+    states its kernel transform K (everywhere) and, where one is defined,
+    its time-domain kernel; the Laplace exponent l K(l), ``describe`` and the
+    repr, equality and hash are derived once, from K and from the fields.
+    Each model also states what its kernel allows, as class constants or as
+    attributes set once from its parameters:
 
     * ``stable_indices``: the indices of the independent stable subordinators
       the model is the sum of, () if it is no such sum.  One index gives
@@ -166,37 +157,21 @@ class SubordinatorModel(metaclass=_FrozenOnReturn):
       t^n has running mean ~ t^(power_index n) (log t)^(log_rate_scale n)
       and exp(-a t) the same with n = -1; each is 0 where it does not apply.
 
-    Constructors set attributes freely; once the outermost one returns, the
-    model is frozen and setting or deleting an attribute raises
+    Setting or deleting an attribute of a family's model raises
     FrozenInstanceError, so the stated capabilities cannot drift from the
     parameters the kernel methods read.
     """
 
-    config_tag: str = ""
-    _frozen = False
-
-    def __init__(self, *, stable_indices: tuple = (), short_time_power: float | None = None,
-                 power_index: float = 0.0, log_rate_scale: float = 0.0):
-        # one dict update, not four __setattr__ calls: models are built per operation
-        vars(self).update(stable_indices=stable_indices, short_time_power=short_time_power,
-                          power_index=power_index, log_rate_scale=log_rate_scale)
-
-    def __setattr__(self, name, value):
-        if self._frozen:
-            raise FrozenInstanceError(
-                f"cannot assign {name!r}: {type(self).__name__} is immutable")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        if self._frozen:
-            raise FrozenInstanceError(
-                f"cannot delete {name!r}: {type(self).__name__} is immutable")
-        object.__delattr__(self, name)
+    config_tag = ""
+    stable_indices = ()
+    short_time_power = None
+    power_index = 0.0
+    log_rate_scale = 0.0
 
     # -- transform side -----------------------------------------------------
     def laplace_exponent(self, lam: Complex) -> Complex:
-        """Exponent in E[exp(-l S(t))] = exp(-t * exponent(l)); Re l >= 0."""
-        raise NotImplementedError
+        """Exponent l K(l) in E[exp(-l S(t))] = exp(-t * exponent(l)); Re l >= 0."""
+        return 0.0 if lam == 0 else lam * self.kernel_transform(lam)
 
     def kernel_transform(self, lam: Complex) -> Complex:
         """Laplace transform of the tail kernel; Re l > 0."""
@@ -215,9 +190,6 @@ class SubordinatorModel(metaclass=_FrozenOnReturn):
         """Convolution of the kernel with s^gamma over [0, t] (closed form)."""
         raise UnsupportedModelError(f"{type(self).__name__} defines no kernel")
 
-    def levy_density(self, tau: float) -> float:
-        raise UnsupportedModelError(f"{type(self).__name__} exposes no Levy density")
-
     def predict_rate(self, dynamic: Dynamic) -> RatePrediction:
         """Predicted Cesaro-mean exponents for a monomial or decaying exponential."""
         if isinstance(dynamic, Monomial):
@@ -228,33 +200,27 @@ class SubordinatorModel(metaclass=_FrozenOnReturn):
         raise UnsupportedDynamicError("rate predictions need a monomial or exponential dynamic")
 
     def describe(self) -> dict:
-        raise NotImplementedError
-
-    def __repr__(self):
-        params = ", ".join(f"{k}={v}" for k, v in self.describe().items() if k != "class")
-        return f"{type(self).__name__}({params})"
+        """The config mapping that `model_from_config` turns back into this model."""
+        return {"class": self.config_tag, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
+@dataclass(frozen=True)
 class StableSubordinator(SubordinatorModel):
     """Driftless stable subordinator: exponent l^alpha, kernel t^-alpha/Gamma(1-alpha)."""
 
+    alpha: float
     config_tag = "stable"
 
-    def __init__(self, alpha: float):
-        alpha = float(alpha)
+    def __post_init__(self):
+        alpha = float(self.alpha)
         if not (0.0 < alpha < 1.0):
             raise ConfigError(f"stable index must lie in (0,1), got {alpha}")
-        super().__init__(stable_indices=(alpha,), short_time_power=alpha, power_index=alpha)
-        self.alpha = alpha
-
-    def laplace_exponent(self, lam):
-        z = _require_right_half(lam, strict=False)
-        if z == 0.0:
-            return _as_output(0j, lam)
-        return _as_output(z ** self.alpha, lam)
+        # one dict update past the frozen __setattr__: models are built per operation
+        vars(self).update(alpha=alpha, stable_indices=(alpha,), short_time_power=alpha,
+                          power_index=alpha)
 
     def kernel_transform(self, lam):
-        z = _require_right_half(lam, strict=True)
+        z = _require_right_half(lam)
         return _as_output(z ** (self.alpha - 1.0), lam)
 
     def kernel(self, t):
@@ -277,17 +243,8 @@ class StableSubordinator(SubordinatorModel):
         out = c * t ** (1.0 + gamma - self.alpha)
         return float(out) if out.ndim == 0 else out
 
-    def levy_density(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        if np.any(tau <= 0.0):
-            raise DomainError("levy_density requires tau > 0")
-        out = self.alpha * tau ** (-1.0 - self.alpha) * _rgamma(1.0 - self.alpha)
-        return float(out) if out.ndim == 0 else out
 
-    def describe(self):
-        return {"class": self.config_tag, "alpha": self.alpha}
-
-
+@dataclass(frozen=True)
 class TwoStableSubordinator(SubordinatorModel):
     """Sum of two independent stable subordinators with indices alpha < beta.
 
@@ -296,20 +253,17 @@ class TwoStableSubordinator(SubordinatorModel):
     dominates small times.
     """
 
+    alpha: float
+    beta: float
     config_tag = "two-stable"
 
-    def __init__(self, alpha: float, beta: float):
-        alpha, beta = float(alpha), float(beta)
+    def __post_init__(self):
+        alpha, beta = float(self.alpha), float(self.beta)
         if not (0.0 < alpha < beta < 1.0):
             raise ConfigError(f"need 0 < alpha < beta < 1, got alpha={alpha}, beta={beta}")
-        super().__init__(stable_indices=(alpha, beta), short_time_power=beta, power_index=alpha)
-        self.alpha = alpha
-        self.beta = beta
-        self._parts = (StableSubordinator(alpha), StableSubordinator(beta))
-
-    def laplace_exponent(self, lam):
-        a, b = self._parts
-        return a.laplace_exponent(lam) + b.laplace_exponent(lam)
+        vars(self).update(alpha=alpha, beta=beta, stable_indices=(alpha, beta),
+                          short_time_power=beta, power_index=alpha,
+                          _parts=(StableSubordinator(alpha), StableSubordinator(beta)))
 
     def kernel_transform(self, lam):
         a, b = self._parts
@@ -326,13 +280,6 @@ class TwoStableSubordinator(SubordinatorModel):
     def kernel_conv_power(self, gamma, t):
         a, b = self._parts
         return a.kernel_conv_power(gamma, t) + b.kernel_conv_power(gamma, t)
-
-    def levy_density(self, tau):
-        a, b = self._parts
-        return a.levy_density(tau) + b.levy_density(tau)
-
-    def describe(self):
-        return {"class": self.config_tag, "alpha": self.alpha, "beta": self.beta}
 
 
 # Gauss-Legendre rule on (0,1) for the distributed-order kernel integrals;
@@ -370,6 +317,7 @@ def _power_sum(t: np.ndarray, exponents: np.ndarray, weights: np.ndarray) -> np.
     return out.reshape(t.shape)
 
 
+@dataclass(frozen=True)
 class DistributedOrderSubordinator(SubordinatorModel):
     """Kernel averaged uniformly over power orders in (0,1).
 
@@ -379,26 +327,14 @@ class DistributedOrderSubordinator(SubordinatorModel):
     """
 
     config_tag = "distributed-order"
+    # the solution behaves like t log(1/t) at small times, close to linear
+    short_time_power = 1.0
+    log_rate_scale = 1.0
 
     _TAYLOR_RADIUS = 1e-4
 
-    def __init__(self):
-        # the solution behaves like t log(1/t) at small times, close to linear
-        super().__init__(short_time_power=1.0, log_rate_scale=1.0)
-
-    def laplace_exponent(self, lam):
-        z = _require_right_half(lam, strict=False)
-        if z == 0.0:
-            return _as_output(0j, lam)
-        w = z - 1.0
-        if abs(w) < self._TAYLOR_RADIUS:
-            val = 1.0 + w * (0.5 + w * (-1.0 / 12.0 + w / 24.0))
-        else:
-            val = w / cmath.log(z)
-        return _as_output(val, lam)
-
     def kernel_transform(self, lam):
-        z = _require_right_half(lam, strict=True)
+        z = _require_right_half(lam)
         w = z - 1.0
         if abs(w) < self._TAYLOR_RADIUS:
             val = 1.0 + w * (-0.5 + w * (5.0 / 12.0 - 3.0 * w / 8.0))
@@ -428,10 +364,8 @@ class DistributedOrderSubordinator(SubordinatorModel):
         out = _power_sum(t, gamma + _DO_NODES, w)
         return float(out) if out.ndim == 0 else out
 
-    def describe(self):
-        return {"class": self.config_tag}
 
-
+@dataclass(frozen=True)
 class ParametricLogSubordinator(SubordinatorModel):
     """Parametric family with kernel transform ~ (1/l) (log(1/l))^(-1-s).
 
@@ -442,32 +376,22 @@ class ParametricLogSubordinator(SubordinatorModel):
     model is usable on transform-side routes only.
     """
 
+    s: float
+    scale: float = 1.0
     config_tag = "c3"
 
-    def __init__(self, s: float, scale: float = 1.0):
-        s, scale = float(s), float(scale)
+    def __post_init__(self):
+        s, scale = float(self.s), float(self.scale)
         if s <= 0.0:
             raise ConfigError(f"log exponent s must be positive, got {s}")
         if scale <= 0.0:
             raise ConfigError(f"scale must be positive, got {scale}")
-        super().__init__(log_rate_scale=1.0 + s)
-        self.s = s
-        self.scale = scale
-
-    def laplace_exponent(self, lam):
-        z = _require_right_half(lam, strict=False)
-        if z == 0.0:
-            return _as_output(0j, lam)
-        val = self.scale * (1.0 + _log1p_recip(z)) ** (-1.0 - self.s)
-        return _as_output(val, lam)
+        vars(self).update(s=s, scale=scale, log_rate_scale=1.0 + s)
 
     def kernel_transform(self, lam):
-        z = _require_right_half(lam, strict=True)
+        z = _require_right_half(lam)
         val = self.scale * (1.0 + _log1p_recip(z)) ** (-1.0 - self.s) / z
         return _as_output(val, lam)
-
-    def describe(self):
-        return {"class": self.config_tag, "s": self.s, "scale": self.scale}
 
 
 def _log1p_recip(z: complex) -> complex:
@@ -478,21 +402,13 @@ def _log1p_recip(z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Rate predictions and configuration
+# Configuration
 # ---------------------------------------------------------------------------
 
-def predict_cesaro_exponents(model: SubordinatorModel, dynamic: Dynamic) -> RatePrediction:
-    return model.predict_rate(dynamic)
-
-
-def _constructor_parameters(cls) -> tuple:
-    """(required, accepted) parameter names of a model class's constructor."""
-    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-    return {p.name for p in params if p.default is p.empty}, {p.name for p in params}
-
-
+# tag -> (class, required parameter names, accepted parameter names)
 _MODEL_CLASSES = {
-    cls.config_tag: (cls, *_constructor_parameters(cls))
+    cls.config_tag: (cls, {f.name for f in fields(cls) if f.default is MISSING},
+                     {f.name for f in fields(cls)})
     for cls in (StableSubordinator, TwoStableSubordinator, DistributedOrderSubordinator,
                 ParametricLogSubordinator)
 }
@@ -502,7 +418,7 @@ def model_from_config(config) -> SubordinatorModel:
     """Build a model from a mapping or `key = value` text.
 
     Recognized keys: ``class`` (stable | two-stable | distributed-order | c3)
-    plus exactly the numeric parameters that class's constructor takes
+    plus exactly the numeric parameters that are the class's fields
     (``alpha``; ``alpha``, ``beta``; none; ``s`` and optionally ``scale``).
     A missing or extra parameter raises ConfigError.
     """

@@ -11,6 +11,7 @@ of the dynamic with one cached table of Wright-density weights per index.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,30 +51,22 @@ class SubordinatedCurve:
 
 
 def subordinated_transform(model: SubordinatorModel, dynamic: Dynamic, lam: Complex) -> Complex:
-    """t-Laplace transform of the subordinated dynamic at lam (Re lam > 0).
+    """t-Laplace transform K(lam) w(lam K(lam)) of the subordinated dynamic (Re lam > 0).
 
-    Monomials reduce to n! lam^-(1+n) K(lam)^-n, exponentials to
-    K(lam)/(a + lam K(lam)); degree 0 cancels algebraically to 1/lam.
+    w is the dynamic's own transform; degree 0 cancels exactly to 1/lam.
     """
-    if isinstance(dynamic, Monomial):
-        if dynamic.n == 0:
-            return 1.0 / lam
-        kt = model.kernel_transform(lam)
-        n = dynamic.n
-        try:
-            val = math.factorial(n) * lam ** (-(1 + n)) * kt ** (-n)
-        except OverflowError:
-            raise DomainError(f"transform overflowed for monomial degree {n} at {lam!r}") from None
-        if isinstance(val, complex) and not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise DomainError(f"transform overflowed for monomial degree {n} at {lam!r}")
-        return val
-    if isinstance(dynamic, Exponential):
-        kt = model.kernel_transform(lam)
-        return kt / (dynamic.a + lam * kt)
-    if isinstance(dynamic, UserTransform):
-        kt = model.kernel_transform(lam)
-        return kt * dynamic.transform(lam * kt)
-    raise UnsupportedDynamicError(f"unknown dynamic {dynamic!r}")
+    if not isinstance(dynamic, (Monomial, Exponential, UserTransform)):
+        raise UnsupportedDynamicError(f"unknown dynamic {dynamic!r}")
+    if isinstance(dynamic, Monomial) and dynamic.n == 0:
+        return 1.0 / lam
+    kt = model.kernel_transform(lam)
+    try:
+        val = kt * dynamic.transform(lam * kt)
+    except OverflowError:
+        val = math.inf
+    if not cmath.isfinite(val):
+        raise DomainError(f"transform overflowed for {dynamic!r} at {lam!r}")
+    return val
 
 
 def subordinated_value(

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .asymptotics import cesaro_curve, fit_rate, log_grid, rate_grid_for
+from .errors import ConfigError
 from .laplace import gaver_stehfest_invert, talbot_invert
 from .models import (
     DistributedOrderSubordinator,
@@ -372,7 +373,7 @@ def run_suite(name: str, alpha: float | None = None):
     try:
         keys = SUITES[name]
     except KeyError:
-        raise ValueError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}") from None
+        raise ConfigError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}") from None
     results = []
     for key in keys:
         fn = ALL_CRITERIA[key]

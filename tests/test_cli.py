@@ -198,6 +198,14 @@ def test_verify_suite_cli(capsys):
     assert "FAIL" not in out
 
 
+def test_unknown_suite_is_a_config_error():
+    from fractime import ConfigError
+    from fractime.verify import run_suite
+
+    with pytest.raises(ConfigError):
+        run_suite("nope")
+
+
 def test_worker_env_cap(monkeypatch):
     from fractime import Exponential, McConfig, StableSubordinator, estimate_ue
 

@@ -24,7 +24,6 @@ from fractime import (
     UnsupportedModelError,
     model_from_config,
     parse_dynamic,
-    predict_cesaro_exponents,
 )
 from fractime.models import _DO_CUM_W, _DO_KERNEL_W, _DO_NODES, _DO_WEIGHTS
 
@@ -39,6 +38,17 @@ ALL_MODELS = [
 ]
 
 PROBE = np.logspace(-6, 6, 25)
+
+
+def written_exponent(model, lam):
+    """Each family's Laplace exponent written out, independent of its kernel transform."""
+    if isinstance(model, StableSubordinator):
+        return lam ** model.alpha
+    if isinstance(model, TwoStableSubordinator):
+        return lam ** model.alpha + lam ** model.beta
+    if isinstance(model, DistributedOrderSubordinator):
+        return 1.0 if lam == 1.0 else (lam - 1.0) / math.log(lam)
+    return model.scale * (1.0 + math.log1p(1.0 / lam)) ** (-1.0 - model.s)
 
 
 class TestLaplaceExponent:
@@ -104,9 +114,9 @@ class TestKernelTransform:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
     def test_exponent_identity_on_probe_grid(self, model):
-        # l * K(l) = Phi(l) to 1e-12 relative
+        # l * K(l) = Phi(l) to 1e-12 relative, Phi written out per family
         for lam in PROBE:
-            phi = model.laplace_exponent(float(lam))
+            phi = written_exponent(model, float(lam))
             prod = float(lam) * model.kernel_transform(float(lam))
             assert abs(prod - phi) <= 1e-12 * abs(phi)
 
@@ -114,9 +124,8 @@ class TestKernelTransform:
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_exponent_identity_random_points(self, exponent):
         lam = 10.0 ** exponent
-        for model in (StableSubordinator(0.5), DistributedOrderSubordinator(),
-                      ParametricLogSubordinator(0.5)):
-            phi = model.laplace_exponent(lam)
+        for model in ALL_MODELS:
+            phi = written_exponent(model, lam)
             assert lam * model.kernel_transform(lam) == pytest.approx(phi, rel=1e-12)
 
     def test_two_stable_low_frequency_class(self):
@@ -208,45 +217,26 @@ class TestKernel:
             assert model.kernel_integral(t) == pytest.approx(ref, rel=1e-10)
 
 
-class TestLevyDensity:
-    def test_stable_tail_integral_matches_kernel(self):
-        # integral of the density over (t, inf) is the kernel at t
-        model = StableSubordinator(0.5)
-        val, _ = quad(model.levy_density, 1.0, np.inf, limit=200)
-        assert val == pytest.approx(model.kernel(1.0), rel=1e-9)
-
-    def test_two_stable_is_sum(self):
-        m = TwoStableSubordinator(0.4, 0.8)
-        expected = StableSubordinator(0.4).levy_density(2.0) + StableSubordinator(0.8).levy_density(2.0)
-        assert m.levy_density(2.0) == pytest.approx(expected, rel=1e-14)
-
-    def test_not_exposed_for_inversion_only_models(self):
-        with pytest.raises(UnsupportedModelError):
-            DistributedOrderSubordinator().levy_density(1.0)
-        with pytest.raises(UnsupportedModelError):
-            ParametricLogSubordinator(1.0).levy_density(1.0)
-
-
 class TestPredictions:
     def test_stable_monomial(self):
-        pred = predict_cesaro_exponents(StableSubordinator(0.5), Monomial(2))
+        pred = StableSubordinator(0.5).predict_rate(Monomial(2))
         assert (pred.power, pred.log_power) == (1.0, 0.0)
 
     def test_distributed_order_exponential(self):
-        pred = predict_cesaro_exponents(DistributedOrderSubordinator(), Exponential(3.0))
+        pred = DistributedOrderSubordinator().predict_rate(Exponential(3.0))
         assert (pred.power, pred.log_power) == (0.0, -1.0)
 
     def test_log_kernel_monomial(self):
-        pred = predict_cesaro_exponents(ParametricLogSubordinator(0.5), Monomial(1))
+        pred = ParametricLogSubordinator(0.5).predict_rate(Monomial(1))
         assert (pred.power, pred.log_power) == (0.0, 1.5)
 
     def test_two_stable_uses_smaller_index(self):
-        pred = predict_cesaro_exponents(TwoStableSubordinator(0.5, 0.75), Monomial(1))
+        pred = TwoStableSubordinator(0.5, 0.75).predict_rate(Monomial(1))
         assert pred.power == 0.5
 
     def test_user_transform_unsupported(self):
         with pytest.raises(UnsupportedDynamicError):
-            predict_cesaro_exponents(StableSubordinator(0.5), UserTransform(lambda z: 1.0 / z))
+            StableSubordinator(0.5).predict_rate(UserTransform(lambda z: 1.0 / z))
 
 
 class TestCapabilities:
@@ -275,6 +265,40 @@ class TestCapabilities:
         with pytest.raises(FrozenInstanceError):
             del model.power_index
         assert (model.describe(), model.stable_indices) == (params, indices)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+    def test_config_round_trip(self, model):
+        assert model_from_config(model.describe()) == model
+
+    def test_models_compare_and_hash_by_parameters(self):
+        equal = [
+            (StableSubordinator(0.5), model_from_config({"class": "stable", "alpha": "0.5"})),
+            (TwoStableSubordinator(0.5, 0.75), TwoStableSubordinator(alpha=0.5, beta=0.75)),
+            (DistributedOrderSubordinator(), DistributedOrderSubordinator()),
+            (ParametricLogSubordinator(1, 2), ParametricLogSubordinator(1.0, scale=2.0)),
+        ]
+        for a, b in equal:
+            assert a == b and a is not b and hash(a) == hash(b)
+        different = [
+            (StableSubordinator(0.5), StableSubordinator(0.6)),
+            (TwoStableSubordinator(0.5, 0.75), TwoStableSubordinator(0.5, 0.8)),
+            (ParametricLogSubordinator(0.5), ParametricLogSubordinator(0.5, scale=2.0)),
+            (ParametricLogSubordinator(0.5), ParametricLogSubordinator(0.6)),
+            (StableSubordinator(0.5), TwoStableSubordinator(0.5, 0.75)),
+        ]
+        for a, b in different:
+            assert a != b
+
+    def test_repr_names_the_parameters(self):
+        assert [repr(m) for m in ALL_MODELS] == [
+            "StableSubordinator(alpha=0.3)",
+            "StableSubordinator(alpha=0.5)",
+            "StableSubordinator(alpha=0.7)",
+            "TwoStableSubordinator(alpha=0.5, beta=0.75)",
+            "DistributedOrderSubordinator()",
+            "ParametricLogSubordinator(s=0.5, scale=1.0)",
+            "ParametricLogSubordinator(s=1.0, scale=2.0)",
+        ]
 
     def test_exponents_that_do_not_apply_are_positive_zero(self):
         for model in (StableSubordinator(0.5), DistributedOrderSubordinator()):

@@ -304,8 +304,10 @@ class TestCapabilityDispatch:
     def test_stable_sum_draws_each_index_in_order(self):
         # each draw is the root s of sum_i s^(1/a_i) A_i = t, A_i drawn by
         # sample_stable in the model's order
-        indices = (0.3, 0.5, 0.7)
-        model = SubordinatorModel(stable_indices=indices)
+        class StableSum(SubordinatorModel):
+            stable_indices = (0.3, 0.5, 0.7)
+
+        model, indices = StableSum(), StableSum.stable_indices
         for t in (1e-3, 1.0, 50.0):
             got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
             for _ in range(100):
@@ -315,8 +317,11 @@ class TestCapabilityDispatch:
                 assert level == pytest.approx(t, rel=1e-12)
 
     def test_single_stable_index_draws_directly(self):
+        class OneStable(SubordinatorModel):
+            stable_indices = (0.5,)
+
         cfg = McConfig(n_paths=5000, seed=9)
-        stated = estimate_ue(SubordinatorModel(stable_indices=(0.5,)), Exponential(1.0), 2.0, cfg)
+        stated = estimate_ue(OneStable(), Exponential(1.0), 2.0, cfg)
         assert stated == estimate_ue(StableSubordinator(0.5), Exponential(1.0), 2.0, cfg)
 
 

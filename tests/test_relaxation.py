@@ -158,9 +158,8 @@ def test_grid_validation():
 def test_any_model_stating_a_short_time_power_is_solved():
     # the solver reads the kernel and the stated power, not the model's class
     class StableKernel(SubordinatorModel):
-        def __init__(self, alpha):
-            super().__init__(short_time_power=alpha)
-            self.stable = StableSubordinator(alpha)
+        short_time_power = 0.5
+        stable = StableSubordinator(0.5)
 
         def kernel_integral(self, t):
             return self.stable.kernel_integral(t)
@@ -168,7 +167,7 @@ def test_any_model_stating_a_short_time_power_is_solved():
         def kernel_conv_power(self, gamma, t):
             return self.stable.kernel_conv_power(gamma, t)
 
-    stated = solve_relaxation(RelaxationProblem(StableKernel(0.5), a=1.0, h=1e-2, horizon=1.0))
+    stated = solve_relaxation(RelaxationProblem(StableKernel(), a=1.0, h=1e-2, horizon=1.0))
     named = solve_relaxation(RelaxationProblem(StableSubordinator(0.5), a=1.0, h=1e-2,
                                                horizon=1.0))
     assert np.array_equal(stated.values, named.values)

@@ -60,6 +60,10 @@ class TestTransform:
             generic = subordinated_transform(model, dyn, lam)
             assert generic == pytest.approx(direct, rel=1e-14)
 
+    def test_non_dynamic_is_unsupported(self):
+        with pytest.raises(UnsupportedDynamicError):
+            subordinated_transform(StableSubordinator(0.5), object(), 1.0)
+
 
 class TestValue:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
