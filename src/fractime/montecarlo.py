@@ -3,17 +3,19 @@
 Samples the subordinator and its inverse, estimating u^E(t) = E[u(E(t))]
 with standard errors.  Every model's E(t) is drawn with no time steps, and
 what a model states decides how.  A sum of independent stables is drawn
-exactly: one index gives E(t) = (t/S(1))^alpha in law, and several give the
-root in s of sum_i s^(1/alpha_i) A_i = t with A_i one unit stable draw per
-index (that curve is increasing and has the one-dimensional laws of S(s),
-so P(root > s) = P(S(s) <= t) = P(E(t) > s)).  Every other model is
-truncated to drift plus compound Poisson, built from its tail kernel with
-the jumps below `McConfig.jump_cutoff` folded into the drift, and each
-path's first passage above t is found exactly from its events: at the jump
-that carries the level past t, or on the linear stretch before it (a model
-without a time-domain kernel cannot be simulated).  Streams are
-counter-based per fixed-size chunk, so results are bit-identical for a
-given (seed, n_paths) no matter how many workers run.
+exactly: one index gives E(t) = (t/S(1))^alpha in law, and several give
+the root in s of sum_i s^(1/alpha_i) A_i = t with A_i one unit stable draw
+per index (that curve is increasing and has the one-dimensional laws of
+S(s), so P(root > s) = P(S(s) <= t) = P(E(t) > s)); stable variates are
+drawn in logs, so small indices whose S(1) leaves the doubles stay finite.
+Every other model is truncated to drift plus compound Poisson, built from
+its tail kernel with the jumps below `McConfig.jump_cutoff` folded into
+the drift, and each path's first passage above t is found exactly from its
+events: at the jump that carries the level past t, or on the linear
+stretch before it (a model without a time-domain kernel cannot be
+simulated).  Streams are counter-based per fixed-size chunk and reduced in
+chunk order, so results are bit-identical for a given (seed, n_paths) at
+any thread count (`McConfig.workers`, capped by the chunk and CPU counts).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import ConfigError, ConvergenceError, UnsupportedDynamicError, Unsu
 from .models import Dynamic, Exponential, Monomial, SubordinatorModel
 
 _CHUNK = 4096          # fixed chunk size; part of the reproducibility contract
-_ENV_THREAD_CAP = "FRACTIME_THREADS"
 
 
 @dataclass(frozen=True)
@@ -81,20 +82,11 @@ def _stable_variates(rng: np.random.Generator, size):
     return rng.uniform(0.0, np.pi, size), rng.exponential(1.0, size)
 
 
-def _stable_unit(alpha: float, u, w):
-    """S(1) for index alpha from its variates (Kanter's construction)."""
-    return (
-        np.sin(alpha * u)
-        / np.sin(u) ** (1.0 / alpha)
-        * (np.sin((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    )
-
-
 def _log_stable_unit(alpha: float, u, w):
-    """log S(1) for index alpha, from the same variates as _stable_unit.
+    """log S(1) for index alpha from its variates (Kanter's construction).
 
     Taken in logs, so that small indices, whose S(1) over- or underflows a
-    double (or turns NaN as inf * 0), keep a finite value.
+    double, keep a finite value.
     """
     with np.errstate(divide="ignore"):
         return (np.log(np.sin(alpha * u)) - np.log(np.sin(u)) / alpha
@@ -105,8 +97,8 @@ def _check_stable(alpha: float, t: float) -> float:
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"stable index must lie in (0,1), got {alpha}")
-    if not t > 0.0:
-        raise ConfigError("need t > 0")
+    if not (0.0 < t < math.inf):
+        raise ConfigError(f"need a finite t > 0, got {t!r}")
     return alpha
 
 
@@ -114,39 +106,26 @@ def sample_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
     """Draw S(t) for the stable subordinator normalized by E[e^{-l S(t)}] = e^{-t l^a}.
 
     Uses the exact trigonometric construction (uniform angle + unit
-    exponential), rejection-free, with S(t) = t^(1/a) S(1) by self-similarity.
-    Where that product comes out 0, inf or NaN (at small indices S(1) over-
-    or underflows a double, or turns NaN as inf * 0), S(t) is recomputed in
-    logs from the same variates and takes its 0 or inf limit only where the
-    value itself does not fit a double.
+    exponential), rejection-free, with S(t) = t^(1/a) S(1) by self-similarity,
+    taken in logs: exp(log t / a + log S(1)).  A draw takes its 0 or inf
+    limit only where the value itself does not fit a double.
     """
     alpha = _check_stable(alpha, t)
-    u, w = _stable_variates(rng, size)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        draws = np.float64(t) ** (1.0 / alpha) * _stable_unit(alpha, u, w)
-        if not (draws.min() > 0.0 and draws.max() < np.inf):    # NaN fails both
-            lost = ~((draws > 0.0) & (draws < np.inf))
-            logs = math.log(t) / alpha + _log_stable_unit(alpha, u, w)
-            draws = np.where(lost, np.exp(logs), draws)[()]   # a scalar stays a scalar
-    return draws
+    log_unit = _log_stable_unit(alpha, *_stable_variates(rng, size))
+    with np.errstate(over="ignore"):
+        return np.exp(math.log(t) / alpha + log_unit)
 
 
 def sample_inverse_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
     """Draw E(t) = inf{s : S(s) > t} for the stable model: (t / S(1))^alpha in law.
 
-    Where that power comes out 0, inf or NaN (S(1) over- or underflows a
-    double at small indices, or turns NaN as inf * 0), E(t) is recomputed
-    in logs from the same variates.
+    Taken in logs, exp(alpha (log t - log S(1))), from the same variates in
+    the same order as sample_stable.
     """
     alpha = _check_stable(alpha, t)
-    u, w = _stable_variates(rng, size)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        draws = (t / _stable_unit(alpha, u, w)) ** alpha
-        if not (draws.min() > 0.0 and draws.max() < np.inf):    # NaN fails both
-            lost = ~((draws > 0.0) & (draws < np.inf))
-            logs = alpha * (math.log(t) - _log_stable_unit(alpha, u, w))
-            draws = np.where(lost, np.exp(logs), draws)[()]   # a scalar stays a scalar
-    return draws
+    log_unit = _log_stable_unit(alpha, *_stable_variates(rng, size))
+    with np.errstate(over="ignore"):
+        return np.exp(alpha * (math.log(t) - log_unit))
 
 
 _NEWTON_TOL = 1e-10    # relative |dx| after which one more Newton step is taken
@@ -348,15 +327,6 @@ def _dynamic_values(dynamic: Dynamic, draws: np.ndarray) -> np.ndarray:
     raise UnsupportedDynamicError("Monte Carlo needs a time-domain dynamic (monomial/exponential)")
 
 
-def _worker_cap(requested: int) -> int:
-    cap = os.environ.get(_ENV_THREAD_CAP)
-    if not cap:
-        return max(1, requested)
-    if not cap.strip().isdecimal() or int(cap) < 1:
-        raise ConfigError(f"{_ENV_THREAD_CAP} must be a positive integer, got {cap!r}")
-    return max(1, min(requested, int(cap)))
-
-
 def estimate_ue(
     model: SubordinatorModel,
     dynamic: Dynamic,
@@ -383,21 +353,15 @@ def estimate_ue(
 
     def run_chunk(c: int):
         n = min(_CHUNK, cfg.n_paths - c * _CHUNK)
-        vals = _dynamic_values(dynamic, draw(_chunk_rng(cfg.seed, c), n))
-        return float(vals.sum()), float(np.dot(vals, vals)), n
+        with np.errstate(over="ignore"):    # a non-finite estimate raises below
+            vals = _dynamic_values(dynamic, draw(_chunk_rng(cfg.seed, c), n))
+            return float(vals.sum()), float(np.dot(vals, vals)), n
 
-    workers = _worker_cap(cfg.workers)
-    sums = np.zeros(n_chunks)
-    squares = np.zeros(n_chunks)
-    counts = np.zeros(n_chunks, dtype=int)
-    if workers == 1 or n_chunks == 1:
-        results = map(run_chunk, range(n_chunks))
-        for c, (s, q, n) in enumerate(results):
-            sums[c], squares[c], counts[c] = s, q, n
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for c, (s, q, n) in enumerate(pool.map(run_chunk, range(n_chunks))):
-                sums[c], squares[c], counts[c] = s, q, n
+    workers = min(cfg.workers, n_chunks, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # a lone worker runs here: one pool thread cost 1.5-2x (1e5 paths, 2 shared cores)
+        chunks = (pool.map if workers > 1 else map)(run_chunk, range(n_chunks))
+        sums, squares, counts = np.array(list(chunks)).T
 
     n_total = int(counts.sum())
     total = float(np.sum(sums))

@@ -24,6 +24,7 @@ outside the solve a problem costs O(N log N).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,10 +53,12 @@ class RelaxationProblem:
             raise UnsupportedModelError(
                 "relaxation solves need a model with an integrable kernel"
             )
-        if self.a < 0.0:
-            raise ConfigError("damping rate a must be nonnegative")
-        if not (0.0 < self.h <= self.horizon):
-            raise ConfigError("need 0 < h <= horizon")
+        if not (0.0 <= self.a < math.inf):
+            raise ConfigError(f"damping rate a must be finite and nonnegative, got {self.a!r}")
+        if not math.isfinite(self.u0):
+            raise ConfigError(f"initial value u0 must be finite, got {self.u0!r}")
+        if not (0.0 < self.h <= self.horizon < math.inf):
+            raise ConfigError("need 0 < h <= horizon < inf")
 
 
 def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

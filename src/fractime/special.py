@@ -24,6 +24,7 @@ density table of many arguments pays for them once.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -229,8 +230,10 @@ def wright(mu: float, nu: float, z: float, budget: int = 200) -> float:
 def _wright_cached(mu: float, nu: float, z: float, budget: int) -> float:
     if not (-1.0 < mu < 0.0):
         raise DomainError(f"wright requires -1 < mu < 0, got {mu}")
-    if z > 0.0:
-        raise DomainError(f"wright requires z <= 0, got {z}")
+    if not (-math.inf < z <= 0.0):
+        raise DomainError(f"wright requires a finite z <= 0, got {z}")
+    if not math.isfinite(nu):
+        raise DomainError(f"wright requires a finite nu, got {nu}")
     if budget < 8:
         raise ConfigError("wright term budget too small")
     if z == 0.0:
@@ -327,14 +330,42 @@ def inverse_stable_density(alpha: float, t: float, tau: float) -> float:
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"inverse_stable_density requires 0 < alpha < 1, got {alpha}")
-    if t <= 0.0:
-        raise DomainError(f"inverse_stable_density requires t > 0, got {t}")
-    if tau < 0.0:
-        raise DomainError(f"inverse_stable_density requires tau >= 0, got {tau}")
+    if not (0.0 < t < math.inf):
+        raise DomainError(f"inverse_stable_density requires a finite t > 0, got {t}")
+    if not (0.0 <= tau < math.inf):
+        raise DomainError(f"inverse_stable_density requires a finite tau >= 0, got {tau}")
     scale = t ** (-alpha)
     if tau == 0.0:
         return scale * float(_rgamma(1.0 - alpha))
     return scale * wright(-alpha, 1.0 - alpha, -tau * scale)
+
+
+def inverse_stable_moment(alpha: float, n: int, t: float) -> float:
+    """E[E(t)^n] = n! t^(alpha n) / Gamma(alpha n + 1) for the inverse stable time change.
+
+    Taken in doubles where t^(alpha n) and the result are normal doubles and
+    n! fits one; elsewhere (high degrees, extreme t) in 30-digit mpmath and
+    rounded once, so a value below the doubles underflows to 0.0 and one
+    above them raises DomainError.
+    """
+    if t == 0.0:
+        return 0.0
+    tiny = sys.float_info.min
+    if n <= 170:    # 171! exceeds the doubles
+        try:
+            power = t ** (alpha * n)
+        except OverflowError:
+            power = math.inf
+        if tiny <= power < math.inf:
+            value = math.factorial(n) * power / gamma_fn(alpha * n + 1.0)
+            if tiny <= value < math.inf:
+                return value
+    with _MP_LOCK, mp.workdps(30):
+        order = mp.mpf(alpha) * n
+        value = float(mp.factorial(n) * mp.power(t, order) / mp.gamma(order + 1))
+    if value == math.inf:
+        raise DomainError(f"moment {n} of E({t}) at index {alpha} exceeds the doubles")
+    return value
 
 
 def density_tail_cutoff(alpha: float, t: float, floor: float = 1e-10) -> float:

@@ -33,7 +33,7 @@ from .models import (
     StableSubordinator,
     UserTransform,
 )
-from .special import density_tail_cutoff, gamma_fn, mittag_leffler, wright
+from .special import density_tail_cutoff, gamma_fn, inverse_stable_moment, mittag_leffler, wright
 
 TRANSFORM_ROUTE = "transform"
 CLOSED_FORM_ROUTE = "closed-form"
@@ -114,18 +114,16 @@ def stable_closed_form(alpha: float, dynamic: Dynamic, t: float) -> float:
     """Exact u^E(t) for the stable time change.
 
     Monomial(n) -> n! t^(alpha n)/Gamma(alpha n + 1); Exponential(a) ->
-    E_alpha(-a t^alpha).  Defined for t >= 0.
+    E_alpha(-a t^alpha).  Defined for finite t >= 0; a monomial value
+    beyond the doubles raises DomainError.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"stable index must lie in (0,1), got {alpha}")
-    if t < 0.0:
-        raise DomainError(f"need t >= 0, got {t}")
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"need a finite t >= 0, got {t}")
     if isinstance(dynamic, Monomial):
-        n = dynamic.n
-        if n == 0:
-            return 1.0
-        return math.factorial(n) * t ** (alpha * n) / gamma_fn(alpha * n + 1.0)
+        return 1.0 if dynamic.n == 0 else inverse_stable_moment(alpha, dynamic.n, t)
     if isinstance(dynamic, Exponential):
         return mittag_leffler(alpha, dynamic.a * t ** alpha)
     raise UnsupportedDynamicError("closed forms exist for monomial and exponential dynamics only")
@@ -145,8 +143,8 @@ def stable_quadrature(alpha: float, dynamic: Dynamic, t: float, rel_tol: float =
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"stable index must lie in (0,1), got {alpha}")
-    if t <= 0.0:
-        raise DomainError(f"need t > 0, got {t}")
+    if not (0.0 < t < math.inf):
+        raise DomainError(f"need a finite t > 0, got {t}")
     if isinstance(dynamic, Monomial):
         n, rate, scale = dynamic.n, 0.0, t ** (alpha * dynamic.n)
     elif isinstance(dynamic, Exponential):
@@ -178,8 +176,8 @@ def double_transform_residual(alpha: float, p: float, lam: float) -> float:
     integral is a dot product of exp(-p t^alpha v) with the base density table.
     """
     alpha, p, lam = float(alpha), float(p), float(lam)
-    if not (0.0 < alpha < 1.0) or p <= 0.0 or lam <= 0.0:
-        raise DomainError("need 0 < alpha < 1 and p, lam > 0")
+    if not (0.0 < alpha < 1.0 and 0.0 < p < math.inf and 0.0 < lam < math.inf):
+        raise DomainError("need 0 < alpha < 1 and finite p, lam > 0")
     nodes, wts = _density_table(alpha, _HEAD, 0)
 
     def inner(t: float) -> float:

@@ -204,26 +204,3 @@ def test_unknown_suite_is_a_config_error():
 
     with pytest.raises(ConfigError):
         run_suite("nope")
-
-
-def test_worker_env_cap(monkeypatch):
-    from fractime import Exponential, McConfig, StableSubordinator, estimate_ue
-
-    model = StableSubordinator(0.5)
-    base = estimate_ue(model, Exponential(1.0), 1.0, McConfig(n_paths=9000, seed=4, workers=6))
-    monkeypatch.setenv("FRACTIME_THREADS", "1")
-    capped = estimate_ue(model, Exponential(1.0), 1.0, McConfig(n_paths=9000, seed=4, workers=6))
-    assert capped == base
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_worker_env_cap_rejects_bad_values(monkeypatch, capsys, value):
-    from fractime import ConfigError, Exponential, McConfig, StableSubordinator, estimate_ue
-
-    monkeypatch.setenv("FRACTIME_THREADS", value)
-    with pytest.raises(ConfigError):
-        estimate_ue(StableSubordinator(0.5), Exponential(1.0), 1.0, McConfig(n_paths=1000))
-    code, _, err = run_cli("mc", "--model", "stable", "--alpha", "0.5", "--dynamic", "exp:1",
-                           "--t", "1", "--paths", "1000", capsys=capsys)
-    assert code == 1
-    assert "FRACTIME_THREADS" in err

@@ -7,6 +7,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
 from fractime import (
@@ -35,7 +36,6 @@ from fractime.montecarlo import (
     _log_stable_unit,
     _passage_in_block,
     _stable_sum_passage,
-    _stable_unit,
     _stable_variates,
 )
 from conftest import ml_erfcx_oracle
@@ -63,26 +63,21 @@ class TestStableSampler:
         assert ks.statistic <= 0.02
 
     def test_small_index_draws_have_no_nan(self):
-        # at alpha = 0.01 the product t^(1/alpha) S(1) comes out NaN (inf * 0)
-        # for about 1.25e-4 of the draws, and 0 or inf for more; those are
-        # recomputed in logs, and every draw the product got right keeps
-        # its bytes
+        # at alpha = 0.01 S(1) over- or underflows a double for many draws (a
+        # product of its powers turns NaN as inf * 0); S(t) is taken in logs
+        # and takes its 0 or inf limit only where the value does not fit
         alpha, t, n = 0.01, 1.0, 1_000_000
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             draws = sample_stable(alpha, t, np.random.default_rng(1), n)
         u, w = _stable_variates(np.random.default_rng(1), n)
-        with np.errstate(all="ignore"):
-            product = t ** (1.0 / alpha) * _stable_unit(alpha, u, w)
-        kept = (product > 0.0) & (product < np.inf)
-        assert np.count_nonzero(np.isnan(product)) > 0
+        logs = math.log(t) / alpha + _log_stable_unit(alpha, u, w)
         assert not np.any(np.isnan(draws))
-        np.testing.assert_array_equal(draws[kept].view(np.int64), product[kept].view(np.int64))
-        logs = math.log(t) / alpha + _log_stable_unit(alpha, u[~kept], w[~kept])
         with np.errstate(over="ignore"):
-            np.testing.assert_array_equal(draws[~kept], np.exp(logs))
+            np.testing.assert_array_equal(draws, np.exp(logs))
         # only values beyond the range of a double take the 0 or inf limit
-        assert np.all(np.isinf(draws[~kept]) == (logs > math.log(np.finfo(float).max)))
+        assert np.any(np.isinf(draws))
+        assert np.all(np.isinf(draws) == (logs > math.log(np.finfo(float).max)))
         assert not np.any(draws == 0.0)
 
     def test_small_index_scalar_draws_stay_scalars(self):
@@ -110,27 +105,51 @@ class TestInverseStableSampler:
         assert abs(draws.mean() - 1.0 / math.gamma(1.5)) <= 3.5 * se
 
     def test_small_index_draws_stay_finite(self):
-        # at alpha = 0.01, the product formula for S(1) comes out 0, inf or NaN
-        # for about 1e-3 of the draws; those are taken in logs, the rest keep
-        # (t / S(1))^alpha bit for bit, and both match (t / S(1))^alpha in
-        # 50-digit arithmetic
+        # at alpha = 0.01, S(1) leaves the range of a double for about 1e-3 of
+        # the draws; E(t) is taken in logs, and matches (t / S(1))^alpha in
+        # 50-digit arithmetic there and elsewhere
         alpha, t, n = 0.01, 2.0, 200_000
         draws = sample_inverse_stable(alpha, t, np.random.default_rng(6), n)
-        with np.errstate(all="ignore"):
-            unit = _stable_unit(alpha, *_stable_variates(np.random.default_rng(6), n))
-            direct = (t / unit) ** alpha
-        finite = (direct > 0.0) & (direct < np.inf)
-        assert np.all(np.isfinite(draws) & (draws > 0.0))
-        assert 0 < np.count_nonzero(~finite) < n // 100
-        np.testing.assert_array_equal(draws[finite], direct[finite])
         u, w = _stable_variates(np.random.default_rng(6), n)
-        picks = np.concatenate([np.flatnonzero(~finite)[:40], np.flatnonzero(finite)[:10]])
+        log_unit = _log_stable_unit(alpha, u, w)
+        outside = np.abs(log_unit) > math.log(np.finfo(float).max)
+        assert np.all(np.isfinite(draws) & (draws > 0.0))
+        assert 0 < np.count_nonzero(outside) < n // 100
+        np.testing.assert_array_equal(draws, np.exp(alpha * (math.log(t) - log_unit)))
+        picks = np.concatenate([np.flatnonzero(outside)[:40], np.flatnonzero(~outside)[:10]])
         with mp.workdps(50):
             for i in picks:
                 ui, wi = mp.mpf(u[i]), mp.mpf(w[i])
                 s1 = (mp.sin(alpha * ui) / mp.sin(ui) ** (1 / mp.mpf(alpha))
                       * (mp.sin((1 - mp.mpf(alpha)) * ui) / wi) ** ((1 - mp.mpf(alpha)) / alpha))
-                assert draws[i] == pytest.approx(float((t / s1) ** alpha), rel=1e-9)
+                assert draws[i] == pytest.approx(float((t / s1) ** alpha), rel=1e-12)
+
+
+class TestStableSamplerProperties:
+    @given(alpha=st.floats(min_value=0.01, max_value=0.99),
+           log10_t=st.floats(min_value=-6.0, max_value=12.0),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_draws_follow_the_log_formula(self, alpha, log10_t, seed):
+        t = 10.0 ** log10_t
+        log_unit = _log_stable_unit(alpha, *_stable_variates(np.random.default_rng(seed), 512))
+        inverse = sample_inverse_stable(alpha, t, np.random.default_rng(seed), 512)
+        assert np.all(np.isfinite(inverse) & (inverse > 0.0))
+        np.testing.assert_array_equal(inverse, np.exp(alpha * (math.log(t) - log_unit)))
+        draws = sample_stable(alpha, t, np.random.default_rng(seed), 512)
+        logs = math.log(t) / alpha + log_unit
+        assert not np.any(np.isnan(draws))
+        # inf or 0 only where log S(t) leaves the range of a double
+        assert np.all(logs[np.isinf(draws)] > math.log(np.finfo(float).max) - 1e-9)
+        assert np.all(logs[draws == 0.0] < math.log(np.finfo(float).smallest_subnormal))
+        normal = np.isfinite(draws) & (draws >= np.finfo(float).tiny)
+        np.testing.assert_allclose(np.log(draws[normal]), logs[normal], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sampler", [sample_stable, sample_inverse_stable])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_level_must_be_finite_and_positive(self, rng, sampler, t):
+        with pytest.raises(ConfigError):
+            sampler(0.5, t, rng, 3)
 
 
 class TestFirstPassage:
@@ -375,7 +394,8 @@ class TestEstimate:
                         McConfig(n_paths=1000, seed=0))
 
     def test_non_finite_estimate_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(ConvergenceError):
+        # u(E) overflows: a typed error, with no numpy warning on the way
+        with pytest.raises(ConvergenceError):
             estimate_ue(StableSubordinator(0.5), Monomial(60), 1e12,
                         McConfig(n_paths=1000, seed=0))
 
@@ -399,7 +419,8 @@ class TestEstimate:
             estimate_ue(StableSubordinator(0.5), Exponential(1e6), 1e6,
                         McConfig(n_paths=1000, seed=0))
 
-    def test_reproducible_across_workers(self):
+    def test_reproducible_across_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
         model = StableSubordinator(0.5)
         runs = [
             estimate_ue(model, Exponential(1.0), 1.0,
@@ -408,7 +429,8 @@ class TestEstimate:
         ]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_distributed_order_reproducible_across_workers(self):
+    def test_distributed_order_reproducible_across_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
         model = DistributedOrderSubordinator()
         runs = [
             estimate_ue(model, Monomial(1), 1.0,
@@ -417,7 +439,8 @@ class TestEstimate:
         ]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_two_stable_reproducible_across_workers(self):
+    def test_two_stable_reproducible_across_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
         model = TwoStableSubordinator(0.5, 0.75)
         runs = [
             estimate_ue(model, Monomial(1), 1.0,
@@ -425,6 +448,34 @@ class TestEstimate:
             for w in (1, 3, 8)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("cpus,n_paths,want", [
+        (8, 20_000, 5), (3, 20_000, 3), (None, 20_000, 1), (8, 4096, 1)])
+    def test_thread_count_is_capped_by_chunks_and_cpus(self, monkeypatch, cpus, n_paths, want):
+        requested = []
+
+        class Recording:
+            # runs the chunks in order on the calling thread
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        model = StableSubordinator(0.5)
+        capped = estimate_ue(model, Exponential(1.0), 1.0,
+                             McConfig(n_paths=n_paths, seed=4, workers=10 ** 6))
+        assert requested == [want]
+        assert capped == estimate_ue(model, Exponential(1.0), 1.0,
+                                     McConfig(n_paths=n_paths, seed=4, workers=1))
 
     @pytest.mark.parametrize("indices", [(0.05, 0.95), (0.05, 0.1), (0.2, 0.5), (0.45, 0.75),
                                          (0.9, 0.99), (0.3, 0.31), (0.01, 0.5), (0.01, 0.02)])

@@ -2,26 +2,31 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from fractime import (
+    ConfigError,
     ConvergenceError,
     DistributedOrderSubordinator,
     DomainError,
     Exponential,
     Monomial,
     ParametricLogSubordinator,
+    RelaxationProblem,
     StableSubordinator,
     TwoStableSubordinator,
     UserTransform,
     UnsupportedDynamicError,
     double_transform_residual,
+    inverse_stable_density,
     stable_closed_form,
     stable_quadrature,
     subordinated_curve,
     subordinated_transform,
     subordinated_value,
+    wright,
 )
 from fractime.subordinate import exact_double_transform
 from conftest import ml_erfcx_oracle, ml_series_oracle
@@ -134,6 +139,19 @@ class TestClosedForm:
         with pytest.raises(UnsupportedDynamicError):
             stable_closed_form(0.5, UserTransform(lambda z: 1.0 / z), 1.0)
 
+    @pytest.mark.parametrize("n", [170, 171, 200, 400])
+    @pytest.mark.parametrize("t", [1e-12, 1e-4, 1.0, 1e12])
+    def test_high_degree_monomials(self, n, t):
+        # n! t^(n/2)/Gamma(n/2 + 1) in 50 digits: the rounded value, 0.0 below
+        # the doubles, DomainError above them
+        with mp.workdps(50):
+            exact = float(mp.factorial(n) * mp.power(t, n / 2) / mp.gamma(mp.mpf(n) / 2 + 1))
+        if exact == math.inf:
+            with pytest.raises(DomainError):
+                stable_closed_form(0.5, Monomial(n), t)
+        else:
+            assert stable_closed_form(0.5, Monomial(n), t) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
 
 class TestQuadrature:
     def test_normalization(self):
@@ -209,6 +227,25 @@ def test_quadrature_route_agreement_monomials(alpha):
             closed = stable_closed_form(alpha, dyn, t)
             quadr = stable_quadrature(alpha, dyn, t, rel_tol=1e-7)
             assert abs(quadr - closed) <= 1e-5 * (1.0 + abs(closed))
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: stable_closed_form(0.5, Monomial(1), math.nan), DomainError),
+    (lambda: stable_closed_form(0.5, Monomial(1), math.inf), DomainError),
+    (lambda: stable_quadrature(0.5, Monomial(1), math.nan), DomainError),
+    (lambda: wright(-0.3, 0.7, -math.inf), DomainError),
+    (lambda: wright(-0.5, 0.5, math.nan), DomainError),
+    (lambda: wright(-0.5, math.inf, -1.0), DomainError),
+    (lambda: inverse_stable_density(0.5, 1.0, math.nan), DomainError),
+    (lambda: inverse_stable_density(0.5, math.inf, 1.0), DomainError),
+    (lambda: double_transform_residual(0.5, math.nan, 1.0), DomainError),
+    (lambda: RelaxationProblem(StableSubordinator(0.5), a=math.nan), ConfigError),
+    (lambda: RelaxationProblem(StableSubordinator(0.5), a=1.0, horizon=math.inf), ConfigError),
+    (lambda: RelaxationProblem(StableSubordinator(0.5), a=1.0, u0=math.nan), ConfigError),
+])
+def test_non_finite_arguments_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_monomial_overflow_signaled():
