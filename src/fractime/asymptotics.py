@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 
-def rate_grid_for(model: SubordinatorModel, points: int = 25) -> np.ndarray:
-    """Default fitting grid for a model's rate family.
+def rate_grid_for(model: SubordinatorModel) -> np.ndarray:
+    """25-point fitting grid for a model's rate family.
 
     Power-law rates (models with a nonzero power_index) are converged well
     before 1e8; log corrections need abscissae out to 1e12 (transform
@@ -46,8 +46,8 @@ def rate_grid_for(model: SubordinatorModel, points: int = 25) -> np.ndarray:
     fitting route goes through transforms).
     """
     if model.power_index:
-        return log_grid(1e2, 1e8, points)
-    return log_grid(1e4, 1e12, points)
+        return log_grid(1e2, 1e8, 25)
+    return log_grid(1e4, 1e12, 25)
 
 
 def cesaro_mean(

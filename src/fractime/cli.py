@@ -62,9 +62,13 @@ def _add_method_flags(p):
     p.add_argument("--terms", type=int, default=None)
 
 
+def _add_json_flag(p):
+    p.add_argument("--json", action="store_true", help="print a JSON summary")
+
+
 def _add_output_flags(p):
     p.add_argument("--out", default=None, help="write a CSV table to this path")
-    p.add_argument("--json", action="store_true", help="print a JSON summary")
+    _add_json_flag(p)
 
 
 def _model_from_args(args):
@@ -240,7 +244,7 @@ def _cmd_mc(args):
 
 
 def _cmd_verify(args):
-    results = run_suite(args.suite, alpha=args.alpha)
+    results = run_suite(args.suite)
     for result in results:
         print(result.report())
     failed = [r for r in results if not r.passed]
@@ -258,14 +262,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ml", help="evaluate the relaxation function E_a(-x)")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
-    _add_output_flags(p)
+    _add_json_flag(p)
     p.set_defaults(fn=_cmd_ml)
 
     p = sub.add_parser("wright", help="evaluate the Wright function W_{mu,nu}(z)")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
-    _add_output_flags(p)
+    _add_json_flag(p)
     p.set_defaults(fn=_cmd_wright)
 
     p = sub.add_parser("invert", help="invert a built-in test transform")
@@ -273,7 +277,7 @@ def build_parser() -> _Parser:
                    help="unit | ramp | square | decay:<rate>")
     p.add_argument("--t", type=float, required=True)
     _add_method_flags(p)
-    _add_output_flags(p)
+    _add_json_flag(p)
     p.set_defaults(fn=_cmd_invert)
 
     for name, help_text in (
@@ -311,7 +315,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=sorted(SUITES))
-    p.add_argument("--alpha", type=float, default=None)
     p.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -38,9 +38,9 @@ class GridFunction:
     def __len__(self):
         return self.abscissae.size
 
-    def restricted(self, t_min: float, t_max: float = np.inf) -> "GridFunction":
-        """Sub-grid with t_min <= t <= t_max."""
-        m = (self.abscissae >= t_min) & (self.abscissae <= t_max)
+    def restricted(self, t_min: float) -> "GridFunction":
+        """Sub-grid with t >= t_min."""
+        m = self.abscissae >= t_min
         if not np.any(m):
             raise ConfigError("restriction leaves no grid points")
         return GridFunction(self.abscissae[m], self.values[m])

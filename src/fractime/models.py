@@ -42,7 +42,7 @@ class Monomial:
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
+        if not (0 <= self.n < math.inf and int(self.n) == self.n):
             raise ConfigError(f"monomial degree must be a nonnegative integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -61,8 +61,8 @@ class Exponential:
     a: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ConfigError(f"exponential rate must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ConfigError(f"exponential rate must be positive and finite, got {self.a}")
         object.__setattr__(self, "a", float(self.a))
 
     def value(self, t):
@@ -382,10 +382,10 @@ class ParametricLogSubordinator(SubordinatorModel):
 
     def __post_init__(self):
         s, scale = float(self.s), float(self.scale)
-        if s <= 0.0:
-            raise ConfigError(f"log exponent s must be positive, got {s}")
-        if scale <= 0.0:
-            raise ConfigError(f"scale must be positive, got {scale}")
+        if not 0.0 < s < math.inf:
+            raise ConfigError(f"log exponent s must be positive and finite, got {s}")
+        if not 0.0 < scale < math.inf:
+            raise ConfigError(f"scale must be positive and finite, got {scale}")
         vars(self).update(s=s, scale=scale, log_rate_scale=1.0 + s)
 
     def kernel_transform(self, lam):

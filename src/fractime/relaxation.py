@@ -38,6 +38,12 @@ from .grids import GridFunction
 from .models import SubordinatorModel
 
 
+# The blocked solve holds a _BLOCK x steps slab of doubles (25.6 MB at this
+# bound, next to tables and FFT buffers of a few MB), so a tiny h cannot ask
+# for gigabytes; the largest step count the package itself uses is 5000.
+_MAX_STEPS = 100_000
+
+
 @dataclass(frozen=True)
 class RelaxationProblem:
     """Kernel relaxation u' (in the convolution sense) = -a u, u(0) = u0."""
@@ -59,6 +65,8 @@ class RelaxationProblem:
             raise ConfigError(f"initial value u0 must be finite, got {self.u0!r}")
         if not (0.0 < self.h <= self.horizon < math.inf):
             raise ConfigError("need 0 < h <= horizon < inf")
+        if self.horizon / self.h > _MAX_STEPS:
+            raise ConfigError(f"horizon / h exceeds {_MAX_STEPS} steps")
 
 
 def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

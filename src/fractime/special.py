@@ -38,8 +38,8 @@ from .laplace import InversionConfig, talbot_invert
 _LOG10 = math.log(10.0)
 
 # mpmath working precision is process-global state; the Wright series passes
-# serialize on this lock so the module stays safe under concurrent use (fast
-# double paths and cache hits never take it)
+# serialize on this lock so the module stays safe under concurrent use (the
+# double-precision paths never take it)
 _MP_LOCK = threading.Lock()
 
 
@@ -61,11 +61,12 @@ def gamma_fn(x: float) -> float:
 
 @dataclass(frozen=True)
 class MLRegime:
-    """Switchover control for E_a(-x) evaluation.
+    """The switchover points of E_a(-x) evaluation.
 
     The series is used up to series_radius (where double precision allows),
     the divergent tail expansion from asymptotic_threshold on, and a Talbot
-    contour integral of l^(a-1)/(l^a + x) everywhere else.
+    contour integral of l^(a-1)/(l^a + x) everywhere else.  mittag_leffler
+    uses the default instance.
     """
 
     series_radius: float = 5.0
@@ -76,7 +77,7 @@ class MLRegime:
             raise ConfigError("need 0 < series_radius < asymptotic_threshold")
 
 
-_DEFAULT_REGIME = MLRegime()
+_REGIME = MLRegime()
 # 24-term contour: truncation ~1e-12 and roundoff amplification e^(0.4*24)*eps
 # ~3e-12; larger term counts lose more to roundoff than they gain.
 _ML_TALBOT = InversionConfig(method="talbot", terms=24)
@@ -125,14 +126,15 @@ def _ml_asymptotic(alpha: float, x: float) -> float:
     return total
 
 
-def mittag_leffler(alpha: float, x: float, regime: MLRegime | None = None) -> float:
+def mittag_leffler(alpha: float, x: float) -> float:
     """E_a(-x) for 0 < a <= 1 and x >= 0.
 
-    Value lies in (0, 1] and decreases strictly in x.  Three routes:
+    Value lies in (0, 1] and decreases strictly in x.  Three routes, split
+    at the thresholds of ``MLRegime()``:
 
-    * the compensated power series, up to ``regime.series_radius`` and only
-      where cancellation costs it at most 2.5 digits;
-    * the divergent tail expansion from ``regime.asymptotic_threshold`` on;
+    * the compensated power series, up to ``series_radius`` and only where
+      cancellation costs it at most 2.5 digits;
+    * the divergent tail expansion from ``asymptotic_threshold`` on;
     * Talbot inversion of l^(a-1)/(l^a + x) everywhere else, including the
       part of the series band the double series cannot reach.
     """
@@ -142,14 +144,13 @@ def mittag_leffler(alpha: float, x: float, regime: MLRegime | None = None) -> fl
         raise DomainError(f"mittag_leffler requires 0 < alpha <= 1, got {alpha}")
     if x < 0.0:
         raise DomainError(f"mittag_leffler requires x >= 0, got {x}")
-    regime = regime or _DEFAULT_REGIME
     if x == 0.0:
         return 1.0
     if alpha == 1.0:
         return math.exp(-x)
-    if x >= regime.asymptotic_threshold:
+    if x >= _REGIME.asymptotic_threshold:
         return _ml_asymptotic(alpha, x)
-    if x <= regime.series_radius and _ml_digits_lost(alpha, x) <= 2.5:
+    if x <= _REGIME.series_radius and _ml_digits_lost(alpha, x) <= 2.5:
         return _ml_series_double(alpha, x)
     return talbot_invert(
         lambda lam: lam ** (alpha - 1.0) / (lam ** alpha + x), 1.0, _ML_TALBOT
@@ -218,16 +219,12 @@ def wright(mu: float, nu: float, z: float, budget: int = 200) -> float:
     used beyond |z| = 30 (and as fallback where the budget would fail),
     where the series cancellation is hopeless.
 
-    Pure and memoized; quadratures against the density revisit arguments.
-    The coefficients 1/Gamma(mu n + nu) are cached per (mu, nu, precision)
-    and shared by every z, so a value never depends on what was evaluated
-    before it.
+    Pure: values are not memoized (the quadrature route caches its density
+    panels instead).  The coefficients 1/Gamma(mu n + nu) are cached per
+    (mu, nu, precision) and shared by every z, so a value never depends on
+    what was evaluated before it.
     """
-    return _wright_cached(float(mu), float(nu), float(z), int(budget))
-
-
-@lru_cache(maxsize=1 << 17)
-def _wright_cached(mu: float, nu: float, z: float, budget: int) -> float:
+    mu, nu, z, budget = float(mu), float(nu), float(z), int(budget)
     if not (-1.0 < mu < 0.0):
         raise DomainError(f"wright requires -1 < mu < 0, got {mu}")
     if not (-math.inf < z <= 0.0):

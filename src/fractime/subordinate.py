@@ -6,7 +6,8 @@ K(l) * w(l K(l)); it is inverted numerically and works for every model,
 including the log-kernel families for which no density formula exists.
 For stable models two independent routes exist besides: the closed forms
 (monomials and the Mittag-Leffler relaxation) and quadrature: a dot product
-of the dynamic with one cached table of Wright-density weights per index.
+of the dynamic with a table of Wright-density weights per index, assembled
+from cached panels.
 """
 
 from __future__ import annotations
@@ -129,16 +130,18 @@ def stable_closed_form(alpha: float, dynamic: Dynamic, t: float) -> float:
     raise UnsupportedDynamicError("closed forms exist for monomial and exponential dynamics only")
 
 
-def stable_quadrature(alpha: float, dynamic: Dynamic, t: float, rel_tol: float = 1e-8) -> float:
-    """u^E(t) as a dot product with the cached density table of alpha.
+def stable_quadrature(alpha: float, dynamic: Dynamic, t: float) -> float:
+    """u^E(t) as a dot product with the density table of alpha.
 
     Self-similarity gives u^E(t) = int u(t^alpha v) W_{-alpha,1-alpha}(-v) dv,
     so Monomial(n) reads t^(alpha n) sum w v^n and Exponential(a) reads
-    sum w exp(-a t^alpha v).  For exponentials the table is refined toward
-    v = 0 until its head panel is narrower than 16/(a t^alpha); it is then
-    doubled outward until the closed-form tail bound is below rel_tol/10 of
-    the value.  A bound still unmet after a fixed number of doublings, or a
-    Wright value the series cannot reach, raises ConvergenceError.
+    sum w exp(-a t^alpha v).  The table is assembled from cached panels of
+    Wright-density weights.  For exponentials it is refined toward v = 0
+    until its head panel is narrower than 16/(a t^alpha); it is then
+    doubled outward until the closed-form tail bound is below 1e-9 of the
+    value (a tenth of the 1e-8 relative target).  A bound still unmet after
+    a fixed number of doublings, or a Wright value the series cannot reach,
+    raises ConvergenceError.
     """
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
@@ -159,11 +162,11 @@ def stable_quadrature(alpha: float, dynamic: Dynamic, t: float, rel_tol: float =
         if head < _HEAD - 64:
             raise ConvergenceError(f"exponential rate {rate:g} outruns the density table")
     for top in range(_MAX_DOUBLINGS + 1):
-        nodes, wts = _density_table(alpha, head, top)
+        nodes, wts = _table(alpha, head, top)
         total = float(np.dot(wts, nodes ** n * np.exp(-rate * nodes)))
         if not math.isfinite(total * scale):
             raise ConvergenceError(f"quadrature returned non-finite value at t={t}")
-        if _tail_bound(alpha, n, rate, math.ldexp(cutoff, top)) <= 0.1 * rel_tol * abs(total):
+        if _tail_bound(alpha, n, rate, math.ldexp(cutoff, top)) <= 0.1 * _REL_TOL * abs(total):
             return total * scale
     raise ConvergenceError(f"density tail bound unmet after {_MAX_DOUBLINGS} doublings at t={t}")
 
@@ -178,7 +181,7 @@ def double_transform_residual(alpha: float, p: float, lam: float) -> float:
     alpha, p, lam = float(alpha), float(p), float(lam)
     if not (0.0 < alpha < 1.0 and 0.0 < p < math.inf and 0.0 < lam < math.inf):
         raise DomainError("need 0 < alpha < 1 and finite p, lam > 0")
-    nodes, wts = _density_table(alpha, _HEAD, 0)
+    nodes, wts = _table(alpha, _HEAD, 0)
 
     def inner(t: float) -> float:
         return float(np.dot(wts, np.exp(-p * t ** alpha * nodes)))
@@ -188,6 +191,8 @@ def double_transform_residual(alpha: float, p: float, lam: float) -> float:
                     limit=200, epsabs=1e-8, epsrel=1e-8)
     return abs(outer - exact_double_transform(alpha, p, lam))
 
+
+_REL_TOL = 1e-8  # relative accuracy a quadrature point aims for
 
 # Density table: 32-node Gauss-Legendre panels [u 2^(k-1), u 2^k], head < k <= top,
 # after a head panel [0, u 2^head]; u is the 1e-12 tail cutoff of the t = 1 density.
@@ -199,7 +204,11 @@ _GAUSS = np.polynomial.legendre.leggauss(32)
 
 @lru_cache(maxsize=4096)
 def _panel(alpha: float, k: int, is_head: bool):
-    """Nodes v and Gauss weights times W_{-alpha,1-alpha}(-v) on one panel."""
+    """Nodes v and Gauss weights times W_{-alpha,1-alpha}(-v) on one panel.
+
+    The one cache of density values: wright itself is not memoized, and a
+    table is a fresh concatenation of these panels.
+    """
     hi = math.ldexp(density_tail_cutoff(alpha, 1.0, _TABLE_FLOOR), k)
     lo = 0.0 if is_head else 0.5 * hi
     nodes = 0.5 * (hi - lo) * (_GAUSS[0] + 1.0) + lo
@@ -208,14 +217,10 @@ def _panel(alpha: float, k: int, is_head: bool):
     return nodes, 0.5 * (hi - lo) * _GAUSS[1] * dens
 
 
-@lru_cache(maxsize=256)
-def _density_table(alpha: float, head: int, top: int):
-    """Read-only (nodes, weights * W) of alpha's density table from panel head to top."""
+def _table(alpha: float, head: int, top: int):
+    """(nodes, weights * W) of alpha's density table from panel head to top."""
     panels = [_panel(alpha, head, True)] + [_panel(alpha, k, False) for k in range(head + 1, top + 1)]
-    table = tuple(np.concatenate(part) for part in zip(*panels))
-    for part in table:
-        part.flags.writeable = False
-    return table
+    return tuple(np.concatenate(part) for part in zip(*panels))
 
 
 def _tail_bound(alpha: float, n: int, rate: float, upper: float) -> float:

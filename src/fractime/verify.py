@@ -160,9 +160,10 @@ def subordinated_exponential() -> CriterionResult:
 
 
 @_timed
-def stable_rate_agreement(alpha: float = 0.5) -> CriterionResult:
-    """Direct-curve and Cesaro-mean exponents agree with alpha-rates."""
+def stable_rate_agreement() -> CriterionResult:
+    """Direct-curve and Cesaro-mean exponents agree with the rates of index 0.5."""
     res = CriterionResult("C3", "stable rates: curve and running mean agree")
+    alpha = 0.5
     model = StableSubordinator(alpha)
     grid = rate_grid_for(model)
     for n in range(4):
@@ -368,17 +369,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, alpha: float | None = None):
+def run_suite(name: str):
     """Run one named suite; returns the list of criterion results."""
     try:
         keys = SUITES[name]
     except KeyError:
         raise ConfigError(f"unknown suite {name!r}; expected one of {sorted(SUITES)}") from None
-    results = []
-    for key in keys:
-        fn = ALL_CRITERIA[key]
-        if key == "C3" and alpha is not None:
-            results.append(fn(alpha=alpha))
-        else:
-            results.append(fn())
-    return results
+    return [ALL_CRITERIA[key]() for key in keys]

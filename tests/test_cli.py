@@ -58,6 +58,19 @@ def test_unknown_flag_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # --out is taken only by the subcommands that write a table
+    ("ml", "--alpha", "0.5", "--x", "1", "--out", "x"),
+    ("wright", "--mu", "-0.5", "--nu", "0.5", "--z", "-1", "--out", "x"),
+    ("invert", "--t", "1", "--out", "x"),
+    # C3 runs at its fixed index; no flag sets it
+    ("verify", "--suite", "c2", "--alpha", "0.3"),
+], ids=["ml-out", "wright-out", "invert-out", "verify-alpha"])
+def test_flag_the_subcommand_does_not_read_exit_code(capsys, argv):
+    code, _, _ = run_cli(*argv, capsys=capsys)
+    assert code == 1
+
+
 def test_numerical_failure_exit_code(capsys):
     # wright series cannot converge there
     code, _, err = run_cli("wright", "--mu", "-0.3", "--nu", "0.7", "--z", "-100",
@@ -71,6 +84,18 @@ def test_bad_model_parameter_exit_code(capsys):
     code, _, err = run_cli("subordinate", "--model", "stable", "--alpha", "1.5",
                            "--dynamic", "mono:1", "--t", "1", capsys=capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("subordinate", "--model", "c3", "--s", "nan", "--dynamic", "mono:1", "--t", "1"),
+    ("subordinate", "--model", "stable", "--alpha", "0.5", "--dynamic", "exp:1e400", "--t", "1"),
+    # rejected before the solver allocates anything
+    ("gfde", "--model", "stable", "--alpha", "0.5", "--h", "1e-9"),
+], ids=["c3-s-nan", "exp-inf", "gfde-steps"])
+def test_non_finite_or_oversized_parameter_exit_code(capsys, argv):
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 1
+    assert "usage error" in err
 
 
 def test_parameter_the_model_does_not_take_exit_code(capsys):
@@ -192,7 +217,7 @@ def test_mc_csv_has_std_error_column(tmp_path, capsys):
 
 
 def test_verify_suite_cli(capsys):
-    code, out, _ = run_cli("verify", "--suite", "c1", "--alpha", "0.5", capsys=capsys)
+    code, out, _ = run_cli("verify", "--suite", "c1", capsys=capsys)
     assert code == 0
     assert "2/2 criteria passed" in out
     assert "FAIL" not in out

@@ -356,3 +356,18 @@ class TestConfig:
             parse_dynamic("wiggle:3")
         with pytest.raises(ConfigError):
             parse_dynamic("mono:-1")
+
+    @pytest.mark.parametrize("build", [
+        lambda: ParametricLogSubordinator(math.nan),
+        lambda: ParametricLogSubordinator(math.inf),
+        lambda: ParametricLogSubordinator(1.0, scale=math.nan),
+        lambda: ParametricLogSubordinator(1.0, scale=math.inf),
+        lambda: Exponential(math.inf),
+        lambda: parse_dynamic("exp:1e400"),
+        lambda: Monomial(math.inf),
+        lambda: Monomial(math.nan),
+    ], ids=["s-nan", "s-inf", "scale-nan", "scale-inf", "exp-inf", "exp-1e400",
+            "mono-inf", "mono-nan"])
+    def test_rejects_non_finite_parameters(self, build):
+        with pytest.raises(ConfigError):
+            build()

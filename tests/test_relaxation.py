@@ -19,7 +19,7 @@ from fractime import (
     solve_relaxation,
     subordinated_value,
 )
-from fractime.relaxation import _BLOCK, _scheme_arrays
+from fractime.relaxation import _BLOCK, _MAX_STEPS, _scheme_arrays
 
 
 def forward_substitution(prob):
@@ -147,6 +147,10 @@ def test_unsupported_model_rejected():
 def test_grid_validation():
     with pytest.raises(ConfigError):
         RelaxationProblem(StableSubordinator(0.5), a=1.0, h=2.0, horizon=1.0)
+    # step counts are bounded before any table is allocated; construct only
+    RelaxationProblem(StableSubordinator(0.5), a=1.0, h=1.0, horizon=float(_MAX_STEPS))
+    with pytest.raises(ConfigError):
+        RelaxationProblem(StableSubordinator(0.5), a=1.0, h=1e-9, horizon=5.0)
     prob = RelaxationProblem(StableSubordinator(0.5), a=1.0, h=1e-2, horizon=1.0)
     other = solve_relaxation(
         RelaxationProblem(StableSubordinator(0.5), a=1.0, h=2e-2, horizon=1.0)
