@@ -136,6 +136,16 @@ def _as_output(value: complex, lam: Complex) -> Complex:
     return value.real
 
 
+def _kernel_times(t, method: str, positive: bool = False) -> np.ndarray:
+    """t as a float array for a kernel method; DomainError unless every entry
+    is >= 0 (> 0 if positive).  The test is the comparison itself, so NaN
+    fails it too."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0.0 if positive else t >= 0.0):
+        raise DomainError(f"{method} requires t {'>' if positive else '>='} 0")
+    return t
+
+
 class SubordinatorModel:
     """Common surface of the subordinator families.
 
@@ -224,21 +234,17 @@ class StableSubordinator(SubordinatorModel):
         return _as_output(z ** (self.alpha - 1.0), lam)
 
     def kernel(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise DomainError("kernel requires t > 0")
+        t = _kernel_times(t, "kernel", positive=True)
         out = t ** (-self.alpha) * _rgamma(1.0 - self.alpha)
         return float(out) if out.ndim == 0 else out
 
     def kernel_integral(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise DomainError("kernel_integral requires t >= 0")
+        t = _kernel_times(t, "kernel_integral")
         out = t ** (1.0 - self.alpha) * _rgamma(2.0 - self.alpha)
         return float(out) if out.ndim == 0 else out
 
     def kernel_conv_power(self, gamma, t):
-        t = np.asarray(t, dtype=float)
+        t = _kernel_times(t, "kernel_conv_power")
         c = _gamma(1.0 + gamma) * _rgamma(2.0 + gamma - self.alpha)
         out = c * t ** (1.0 + gamma - self.alpha)
         return float(out) if out.ndim == 0 else out
@@ -343,23 +349,17 @@ class DistributedOrderSubordinator(SubordinatorModel):
         return _as_output(val, lam)
 
     def kernel(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= 0.0):
-            raise DomainError("kernel requires t > 0")
+        t = _kernel_times(t, "kernel", positive=True)
         out = _power_sum(t, _DO_NODES - 1.0, _DO_KERNEL_W)
         return float(out) if out.ndim == 0 else out
 
     def kernel_integral(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise DomainError("kernel_integral requires t >= 0")
+        t = _kernel_times(t, "kernel_integral")
         out = _power_sum(t, _DO_NODES, _DO_CUM_W)
         return float(out) if out.ndim == 0 else out
 
     def kernel_conv_power(self, gamma, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0):
-            raise DomainError("kernel_conv_power requires t >= 0")
+        t = _kernel_times(t, "kernel_conv_power")
         w = _DO_WEIGHTS * _gamma(1.0 + gamma) * _rgamma(1.0 + gamma + _DO_NODES)
         out = _power_sum(t, gamma + _DO_NODES, w)
         return float(out) if out.ndim == 0 else out

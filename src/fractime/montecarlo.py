@@ -9,8 +9,8 @@ per index (that curve is increasing and has the one-dimensional laws of
 S(s), so P(root > s) = P(S(s) <= t) = P(E(t) > s)); stable variates are
 drawn in logs, so small indices whose S(1) leaves the doubles stay finite.
 Every other model is truncated to drift plus compound Poisson, built from
-its tail kernel with the jumps below `McConfig.jump_cutoff` folded into
-the drift, and each path's first passage above t is found exactly from its
+its tail kernel with the jumps below `_JUMP_CUTOFF` folded into the
+drift, and each path's first passage above t is found exactly from its
 events: at the jump that carries the level past t, or on the linear
 stretch before it (a model without a time-domain kernel cannot be
 simulated).  Streams are counter-based per fixed-size chunk and reduced in
@@ -24,7 +24,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,12 +38,6 @@ class McConfig:
     n_paths: int = 100_000
     seed: int = 0
     workers: int = 1
-    # Small-jump truncation for compound-Poisson models, their one
-    # approximation: jumps below the cutoff become drift.  At the default
-    # 1e-4 and 1e5 paths, distributed-order mono:1 at t = 1e-3 reads
-    # -3.9e-3 and -1.5e-3 relative to inversion (3.5 and 1.3 SE, seeds 1
-    # and 2); for t = 1e-2, 0.1 and 1 it is within 1.5 SE.
-    jump_cutoff: float = 1e-4
 
     def __post_init__(self):
         if self.n_paths < 100:
@@ -53,8 +46,6 @@ class McConfig:
             raise ConfigError("seed must fit in 64 bits")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
-        if not (0.0 < self.jump_cutoff < 1.0):
-            raise ConfigError("jump_cutoff must lie in (0, 1)")
 
 
 # below this Kish effective sample size a mean rests on a handful of draws
@@ -169,6 +160,12 @@ def _stable_sum_passage(indices: tuple, t: float, rng, n: int) -> np.ndarray:
 # Compound-Poisson first passage
 # ---------------------------------------------------------------------------
 
+# Small-jump truncation for compound-Poisson models, their one
+# approximation: jumps below the cutoff become drift.  At 1e-4 and 1e5
+# paths, distributed-order mono:1 at t = 1e-3 reads -3.9e-3 and -1.5e-3
+# relative to inversion (3.5 and 1.3 SE, seeds 1 and 2); for t = 1e-2, 0.1
+# and 1 it is within 1.5 SE.
+_JUMP_CUTOFF = 1e-4
 _JUMP_NODES = 4096     # inverse-survival table, uniform in log u
 _EVENT_BLOCK = 1 << 14  # events drawn per pass, shared among the paths still below t
 _EVENT_CAP = 1 << 20   # events one path may take before its passage counts as lost
@@ -202,7 +199,6 @@ class _CompoundPoisson:
         self._log_x = np.interp(np.linspace(log_u[0], 0.0, _JUMP_NODES), log_u,
                                 np.log(xs[::-1]))
         self._slope = np.diff(self._log_x)
-        self._log_x.flags.writeable = self._slope.flags.writeable = False   # shared via the cache
         self._per_node = (_JUMP_NODES - 1) / self._depth
 
     def jump_sizes(self, e: np.ndarray) -> np.ndarray:
@@ -216,11 +212,6 @@ class _CompoundPoisson:
         pos *= self._slope[i]
         pos += self._log_x[i]
         return np.exp(pos, out=pos)
-
-
-# models are immutable, so the process built for one (model, cutoff, cap) stays
-# valid: repeated draws at one level skip the kernel table and its inverse
-_compound_poisson = lru_cache(maxsize=8)(_CompoundPoisson)
 
 
 def _passage_in_block(t: float, drift: float, time, level, waits, sizes):
@@ -273,7 +264,7 @@ def _compound_poisson_passage(process: _CompoundPoisson, t: float, rng, n: int) 
         if events > _EVENT_CAP:
             raise ConvergenceError(
                 f"first passage above t = {t!r} needs more than {_EVENT_CAP} jumps "
-                f"at rate {process.rate:.4g}; raise jump_cutoff")
+                f"at rate {process.rate:.4g}: the level is too high for the jump cutoff")
         waits = rng.standard_exponential((b, m))
         waits *= 1.0 / process.rate
         sizes = process.jump_sizes(rng.standard_exponential((b, m)))
@@ -290,12 +281,12 @@ def _check_level(t: float) -> None:
         raise ConfigError(f"need a finite level t >= 0, got {t!r}")
 
 
-def _passage_sampler(model: SubordinatorModel, t: float, cfg: McConfig):
+def _passage_sampler(model: SubordinatorModel, t: float):
     """draw(rng, n) -> n exact draws of E(t) (compound-Poisson models: of the truncated process)."""
     indices = model.stable_indices
     if indices:
         return lambda rng, n: _stable_sum_passage(indices, t, rng, n)
-    process = _compound_poisson(model, cfg.jump_cutoff, 2.0 * t + 1.0)
+    process = _CompoundPoisson(model, _JUMP_CUTOFF, 2.0 * t + 1.0)
     return lambda rng, n: _compound_poisson_passage(process, t, rng, n)
 
 
@@ -303,7 +294,6 @@ def first_passage(
     model: SubordinatorModel,
     t: float,
     rng: np.random.Generator,
-    cfg: McConfig | None = None,
 ) -> float:
     """One draw of the inverse time E(t) = inf{s : S(s) > t}, with no time steps.
 
@@ -313,7 +303,7 @@ def first_passage(
     _check_level(t)
     if t == 0.0:
         return 0.0
-    draw = _passage_sampler(model, t, cfg or McConfig())
+    draw = _passage_sampler(model, t)
     return float(draw(rng, 1)[0])
 
 
@@ -337,7 +327,7 @@ def estimate_ue(
 
     Every draw of E(t) is exact, with no time steps: sums of stables solve
     for it directly, and compound-Poisson models find each path's passage
-    from its events (the one approximation is `cfg.jump_cutoff`).  Estimates
+    from its events (the one approximation is the jump cutoff `_JUMP_CUTOFF`).  Estimates
     are reduced chunk-by-chunk in a fixed order, so (seed, n_paths) pins
     the result bit-for-bit whatever the worker count.  A mean or standard
     error that is not finite raises ConvergenceError, and so does an
@@ -347,7 +337,7 @@ def estimate_ue(
     _check_level(t)
     if t == 0.0:
         raise ConfigError("need t > 0")
-    draw = _passage_sampler(model, t, cfg)
+    draw = _passage_sampler(model, t)
 
     n_chunks = (cfg.n_paths + _CHUNK - 1) // _CHUNK
 

@@ -5,6 +5,10 @@ references (closed forms, the erfcx identity, spectral quadrature, Monte
 Carlo error bars) and returns a result object with one measured line per
 check.  The command-line ``verify`` subcommand and the acceptance test
 module both run these, so there is exactly one definition of pass/fail.
+The Cesaro-rate criteria C3-C6 take theirs from
+`asymptotics.verify_class`, the library's one verdict on a Cesaro rate:
+they state only the tolerances, and the predicted exponents come from the
+models.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx
 
-from .asymptotics import cesaro_curve, fit_rate, log_grid, rate_grid_for
+from .asymptotics import fit_rate, log_grid, rate_grid_for, verify_class
 from .errors import ConfigError
 from .laplace import gaver_stehfest_invert, talbot_invert
 from .models import (
@@ -166,19 +170,14 @@ def stable_rate_agreement() -> CriterionResult:
     alpha = 0.5
     model = StableSubordinator(alpha)
     grid = rate_grid_for(model)
-    for n in range(4):
-        dyn = Monomial(n)
+    cases = [(Monomial(n), f"mono n={n}", f"- {alpha}n") for n in range(4)]
+    cases.append((Exponential(1.0), "exp", f"+ {alpha}"))
+    for dyn, name, target in cases:
         direct = fit_rate(subordinated_curve(model, dyn, grid).samples)
-        mean = fit_rate(cesaro_curve(model, dyn, grid))
-        res.check(f"mono n={n} |p_curve - {alpha}n|", abs(direct.p - alpha * n), 0.03)
-        res.check(f"mono n={n} |p_mean - {alpha}n|", abs(mean.p - alpha * n), 0.03)
-        res.check(f"mono n={n} |p_curve - p_mean|", abs(direct.p - mean.p), 0.02)
-    dyn = Exponential(1.0)
-    direct = fit_rate(subordinated_curve(model, dyn, grid).samples)
-    mean = fit_rate(cesaro_curve(model, dyn, grid))
-    res.check(f"exp |p_curve + {alpha}|", abs(direct.p + alpha), 0.03)
-    res.check(f"exp |p_mean + {alpha}|", abs(mean.p + alpha), 0.03)
-    res.check("exp |p_curve - p_mean|", abs(direct.p - mean.p), 0.02)
+        mean = verify_class(model, dyn, grid, tol_p=0.03)
+        res.check(f"{name} |p_curve {target}|", abs(direct.p - mean.predicted.power), 0.03)
+        res.check(f"{name} |p_mean {target}|", mean.p_deviation, 0.03, ok=mean.passed)
+        res.check(f"{name} |p_curve - p_mean|", abs(direct.p - mean.free_fit.p), 0.02)
     return res
 
 
@@ -187,37 +186,31 @@ def two_stable_rates() -> CriterionResult:
     """Two-stable model: the smaller index drives the Cesaro rates."""
     res = CriterionResult("C4", "two-stable Cesaro exponents")
     model = TwoStableSubordinator(0.5, 0.75)
-    grid = rate_grid_for(model)
     for n in (1, 2):
-        fit = fit_rate(cesaro_curve(model, Monomial(n), grid))
-        res.check(f"mono n={n} |p - {0.5 * n}|", abs(fit.p - 0.5 * n), 0.05)
+        v = verify_class(model, Monomial(n), rate_grid_for(model), tol_p=0.05)
+        res.check(f"mono n={n} |p - {v.predicted.power}|", v.p_deviation, 0.05, ok=v.passed)
     return res
 
 
-def _log_family_checks(res, model, grid, cases, tol):
-    """Constrained fits plus top-decade ratio stabilization for log-family models."""
-    for dyn, q_pred, label in cases:
-        curve = cesaro_curve(model, dyn, grid)
-        fit = fit_rate(curve, pin_p=0.0)
-        res.check(f"{label} |q - ({q_pred})|", abs(fit.q - q_pred), tol)
-        top = curve.restricted(curve.abscissae[-1] / 10.0)
-        ratio = top.values * np.log(top.abscissae) ** (-q_pred)
+def _log_family_checks(res, model, prefix, tol_q):
+    """Log-exponent verdicts plus top-decade ratio stabilization for a log-family model."""
+    grid = rate_grid_for(model)
+    for dyn, name in ((Monomial(1), "mono n=1"), (Monomial(2), "mono n=2"),
+                      (Exponential(1.0), "exp a=1")):
+        v = verify_class(model, dyn, grid, tol_q=tol_q)
+        q = v.predicted.log_power
+        res.check(f"{prefix}{name} |q - ({q})|", v.q_deviation, tol_q, ok=v.passed)
+        top = v.curve.restricted(v.curve.abscissae[-1] / 10.0)
+        ratio = top.values * np.log(top.abscissae) ** (-q)
         spread = (ratio.max() - ratio.min()) / ratio.mean()
-        res.check(f"{label} top-decade ratio spread", spread, 0.10)
+        res.check(f"{prefix}{name} top-decade ratio spread", spread, 0.10)
 
 
 @_timed
 def distributed_order_rates() -> CriterionResult:
     """Distributed-order model: log-power Cesaro rates."""
     res = CriterionResult("C5", "distributed-order Cesaro exponents")
-    model = DistributedOrderSubordinator()
-    grid = rate_grid_for(model)
-    cases = [
-        (Monomial(1), 1.0, "mono n=1"),
-        (Monomial(2), 2.0, "mono n=2"),
-        (Exponential(1.0), -1.0, "exp a=1"),
-    ]
-    _log_family_checks(res, model, grid, cases, tol=0.15)
+    _log_family_checks(res, DistributedOrderSubordinator(), "", tol_q=0.15)
     return res
 
 
@@ -225,15 +218,8 @@ def distributed_order_rates() -> CriterionResult:
 def parametric_log_rates() -> CriterionResult:
     """Parametric log-kernel model: stretched log-power Cesaro rates."""
     res = CriterionResult("C6", "parametric log-kernel Cesaro exponents")
-    grid = rate_grid_for(ParametricLogSubordinator(1.0))
     for s in (0.5, 1.0):
-        model = ParametricLogSubordinator(s)
-        cases = [
-            (Monomial(1), (1.0 + s), f"s={s} mono n=1"),
-            (Monomial(2), 2.0 * (1.0 + s), f"s={s} mono n=2"),
-            (Exponential(1.0), -(1.0 + s), f"s={s} exp a=1"),
-        ]
-        _log_family_checks(res, model, grid, cases, tol=0.2)
+        _log_family_checks(res, ParametricLogSubordinator(s), f"s={s} ", tol_q=0.2)
     return res
 
 

@@ -170,6 +170,23 @@ class TestKernel:
         with pytest.raises(DomainError):
             StableSubordinator(0.5).kernel(-1.0)
 
+    @pytest.mark.parametrize(
+        "model",
+        [StableSubordinator(0.5), TwoStableSubordinator(0.5, 0.75), DistributedOrderSubordinator()],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("method", ["kernel", "kernel_integral", "kernel_conv_power"])
+    @pytest.mark.parametrize("t", [math.nan, -1.0, np.array([1.0, math.nan, 2.0])],
+                             ids=["nan", "negative", "array-with-nan"])
+    def test_kernel_methods_refuse_nan_and_negative_times(self, model, method, t):
+        # every family raises, none returns NaN, 0 or a numpy warning
+        call = getattr(model, method)
+        args = (0.3, t) if method == "kernel_conv_power" else (t,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                call(*args)
+
     def test_unsupported_for_log_kernel_model(self):
         with pytest.raises(UnsupportedModelError):
             ParametricLogSubordinator(0.5).kernel(1.0)
@@ -218,21 +235,31 @@ class TestKernel:
 
 
 class TestPredictions:
-    def test_stable_monomial(self):
-        pred = StableSubordinator(0.5).predict_rate(Monomial(2))
-        assert (pred.power, pred.log_power) == (1.0, 0.0)
-
-    def test_distributed_order_exponential(self):
-        pred = DistributedOrderSubordinator().predict_rate(Exponential(3.0))
-        assert (pred.power, pred.log_power) == (0.0, -1.0)
-
-    def test_log_kernel_monomial(self):
-        pred = ParametricLogSubordinator(0.5).predict_rate(Monomial(1))
-        assert (pred.power, pred.log_power) == (0.0, 1.5)
-
-    def test_two_stable_uses_smaller_index(self):
-        pred = TwoStableSubordinator(0.5, 0.75).predict_rate(Monomial(1))
-        assert pred.power == 0.5
+    # README's rate table: M_t of t^n ~ C t^(p n) (log t)^(q n) and of e^(-at)
+    # ~ C t^(-p) (log t)^(-q), with (p, q) = (alpha, 0) for the stable and
+    # two-stable clocks (the smaller index), (0, 1) for distributed-order and
+    # (0, 1 + s) for c3 at any scale
+    @pytest.mark.parametrize(
+        "model,dynamic,power,log_power",
+        [
+            (StableSubordinator(0.5), Monomial(1), 0.5, 0.0),
+            (StableSubordinator(0.5), Monomial(2), 1.0, 0.0),
+            (StableSubordinator(0.5), Exponential(3.0), -0.5, 0.0),
+            (TwoStableSubordinator(0.5, 0.75), Monomial(1), 0.5, 0.0),
+            (TwoStableSubordinator(0.5, 0.75), Monomial(2), 1.0, 0.0),
+            (TwoStableSubordinator(0.5, 0.75), Exponential(3.0), -0.5, 0.0),
+            (DistributedOrderSubordinator(), Monomial(1), 0.0, 1.0),
+            (DistributedOrderSubordinator(), Monomial(2), 0.0, 2.0),
+            (DistributedOrderSubordinator(), Exponential(3.0), 0.0, -1.0),
+            (ParametricLogSubordinator(0.5, scale=2.0), Monomial(1), 0.0, 1.5),
+            (ParametricLogSubordinator(0.5, scale=2.0), Monomial(2), 0.0, 3.0),
+            (ParametricLogSubordinator(0.5, scale=2.0), Exponential(3.0), 0.0, -1.5),
+        ],
+        ids=lambda v: repr(v) if not isinstance(v, float) else None,
+    )
+    def test_rate_table(self, model, dynamic, power, log_power):
+        pred = model.predict_rate(dynamic)
+        assert (pred.power, pred.log_power) == (power, log_power)
 
     def test_user_transform_unsupported(self):
         with pytest.raises(UnsupportedDynamicError):

@@ -33,6 +33,7 @@ from fractime.montecarlo import (
     _chunk_rng,
     _compound_poisson_passage,
     _CompoundPoisson,
+    _JUMP_CUTOFF,
     _log_stable_unit,
     _passage_in_block,
     _stable_sum_passage,
@@ -284,25 +285,14 @@ class TestFirstPassage:
             assert 0.05 < p_passed < 0.95
             assert abs(p_passed - p_above) <= 3.5 * se
 
-    def test_repeated_passages_build_the_jump_table_once(self):
-        # models are immutable, so the truncated process of one (model,
-        # cutoff, level) is built once and later draws skip the kernel
-        class Counting(DistributedOrderSubordinator):
-            def __init__(self):
-                super().__init__()
-                self.kernel_calls = []
-
-            def kernel(self, t):
-                self.kernel_calls.append(np.size(t))
-                return super().kernel(t)
-
-        model = Counting()
+    def test_repeated_passages_draw_the_same_passage(self):
+        # one stream gives one passage, and first_passage draws the same one
+        # as the truncated process it builds
+        model = DistributedOrderSubordinator()
         first = first_passage(model, 1.0, np.random.default_rng(3))
-        calls = list(model.kernel_calls)
         again = [first_passage(model, 1.0, np.random.default_rng(3)) for _ in range(5)]
-        assert calls and model.kernel_calls == calls
         assert again == [first] * 5
-        plain = _CompoundPoisson(DistributedOrderSubordinator(), 1e-4, cap=3.0)
+        plain = _CompoundPoisson(DistributedOrderSubordinator(), _JUMP_CUTOFF, cap=3.0)
         want = _compound_poisson_passage(plain, 1.0, np.random.default_rng(3), 1)[0]
         assert first == want
 
@@ -529,7 +519,5 @@ class TestEstimate:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             McConfig(n_paths=10)
-        with pytest.raises(ConfigError):
-            McConfig(jump_cutoff=1.5)
         with pytest.raises(ConfigError):
             McConfig(workers=0)
