@@ -56,9 +56,9 @@ def cesaro_mean(
     t: float,
     cfg: InversionConfig | None = None,
 ) -> float:
-    """Running time-average of the subordinated dynamic at time t > 0."""
-    if t <= 0.0:
-        raise DomainError("cesaro_mean requires t > 0")
+    """Running time-average of the subordinated dynamic at a finite time t > 0."""
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"cesaro_mean requires a finite t > 0, got {t}")
     running = invert(
         lambda lam: subordinated_transform(model, dynamic, lam) / lam, t, cfg
     )

@@ -10,6 +10,15 @@ Two independent methods are provided and cross-checked in the test suite:
 
 Talbot is the workhorse; Gaver-Stehfest is retained as the independent
 real-axis cross-check.
+
+The transform contract: each inversion calls ``transform`` once, with the
+ndarray of all its nodes (complex contour points for Talbot, long-double
+reals for Gaver-Stehfest), and sums the array it returns.  Every transform
+in the package -- the model kernel transforms, the dynamics' transforms and
+their composition ``subordinated_transform`` -- is elementwise on arrays;
+a transform written for one scalar belongs in ``UserTransform``, which
+applies it entry by entry.  ``invert_on_grid`` still inverts one t at a
+time.  No module that ``import fractime`` loads imports ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -105,20 +114,26 @@ def _stehfest_weights(terms: int) -> np.ndarray:
     return np.array(weights, dtype=np.longdouble)
 
 
+def _require_time(t: float) -> None:
+    """ConfigError unless 0 < t < inf; the comparison itself refuses NaN."""
+    if not 0.0 < t < math.inf:
+        raise ConfigError(f"inversion requires a finite t > 0, got {t}")
+
+
 def talbot_invert(
-    transform: Callable[[complex], complex],
+    transform: Callable[[np.ndarray], np.ndarray],
     t: float,
     cfg: InversionConfig | None = None,
 ) -> float:
     """Invert a Laplace transform at time t on the fixed Talbot contour.
 
-    The transform must be analytic in the right half-plane and along the
+    transform is called once, with the complex array of the contour's
+    nodes.  It must be analytic in the right half-plane and along the
     deformed contour (no poles or cuts crossed); this holds for every
     transform built from the model kernel transforms here, whose only
     singularities sit on the closed negative real axis.
     """
-    if t <= 0.0:
-        raise ConfigError("inversion requires t > 0")
+    _require_time(t)
     cfg = cfg or InversionConfig()
     if cfg.method != TALBOT:
         raise ConfigError("talbot_invert called with a non-talbot config")
@@ -126,28 +141,27 @@ def talbot_invert(
     r = _TALBOT_SHAPE * m / t
     path, sigma = _talbot_nodes(m)
     p = r * path
-    total = 0.0
-    for k in range(m):
-        fv = transform(p[k])
-        if not (np.isfinite(fv.real) and np.isfinite(fv.imag)):
-            raise InversionError(
-                f"transform returned non-finite value at contour point {p[k]!r}", t=t
-            )
-        total += (np.exp(t * p[k]) * sigma[k] * fv).real
-    return float((r / m) * total)
+    fv = np.broadcast_to(transform(p), p.shape)
+    bad = ~np.isfinite(fv)
+    if bad.any():
+        raise InversionError(
+            f"transform returned non-finite value at contour point {p[bad][0]!r}", t=t
+        )
+    return float((r / m) * (np.exp(t * p) * sigma * fv).real.sum())
 
 
 def gaver_stehfest_invert(
-    transform: Callable[[float], float],
+    transform: Callable[[np.ndarray], np.ndarray],
     t: float,
     cfg: InversionConfig | None = None,
 ) -> float:
     """Invert a Laplace transform at time t by Gaver-Stehfest summation.
 
-    Needs only real-axis evaluations; the inverse must be smooth near t.
+    transform is called once, with the long-double array of the real
+    nodes.  Needs only real-axis evaluations; the inverse must be smooth
+    near t.
     """
-    if t <= 0.0:
-        raise ConfigError("inversion requires t > 0")
+    _require_time(t)
     cfg = cfg or gaver_stehfest_config()
     if cfg.method != GAVER_STEHFEST:
         raise ConfigError("gaver_stehfest_invert called with a non-gaver-stehfest config")
@@ -155,15 +169,14 @@ def gaver_stehfest_invert(
     if not np.all(np.isfinite(weights)):
         raise ConfigError("stehfest weights overflowed; reduce terms")
     # Extended-precision nodes flow through transforms built from numpy
-    # scalar math, keeping node roundoff out of the weight amplification;
+    # math, keeping node roundoff out of the weight amplification;
     # transforms that compute in double degrade gracefully.
     scale = np.longdouble(_LN2) / np.longdouble(t)
-    vals = np.empty(cfg.terms, dtype=np.longdouble)
-    for k in range(1, cfg.terms + 1):
-        fv = transform(scale * k)
-        if not math.isfinite(float(fv)):
-            raise InversionError(f"transform returned non-finite value at {scale * k}", t=t)
-        vals[k - 1] = fv
+    nodes = scale * np.arange(1, cfg.terms + 1, dtype=np.longdouble)
+    vals = np.broadcast_to(transform(nodes), nodes.shape)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise InversionError(f"transform returned non-finite value at {nodes[bad][0]}", t=t)
     return float(scale * np.dot(weights, vals))
 
 
@@ -180,12 +193,15 @@ def invert_on_grid(
     grid: Sequence[float],
     cfg: InversionConfig | None = None,
 ) -> GridFunction:
-    """Pointwise inversion over a strictly increasing positive grid."""
+    """Pointwise inversion over a strictly increasing, finite positive grid.
+
+    One inversion, and so one transform call, per t.
+    """
     ts = np.asarray(grid, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or np.any(np.diff(ts) <= 0.0):
         raise ConfigError("grid must be strictly increasing")
-    if ts[0] <= 0.0:
-        raise ConfigError("inversion grid requires t > 0")
+    if not np.all((0.0 < ts) & (ts < math.inf)):
+        raise ConfigError("inversion grid requires finite t > 0")
     out = np.empty_like(ts)
     for i, t in enumerate(ts):
         try:

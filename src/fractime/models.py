@@ -18,7 +18,6 @@ is pure.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Union
@@ -49,9 +48,10 @@ class Monomial:
     def value(self, t):
         return np.asarray(t, dtype=float) ** self.n if self.n else np.ones_like(np.asarray(t, dtype=float))
 
-    def transform(self, z: Complex) -> Complex:
-        """Laplace transform n! / z^(n+1)."""
-        return math.factorial(self.n) * z ** (-(self.n + 1))
+    def transform(self, z):
+        """Laplace transform n! / z^(n+1), elementwise; n! past the doubles (n > 170) is inf."""
+        coef = float(math.factorial(self.n)) if self.n <= 170 else math.inf
+        return coef * z ** (-(self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,23 @@ class Exponential:
     def value(self, t):
         return np.exp(-self.a * np.asarray(t, dtype=float))
 
-    def transform(self, z: Complex) -> Complex:
+    def transform(self, z):
+        """Laplace transform 1 / (z + a), elementwise."""
         return 1.0 / (z + self.a)
 
 
 @dataclass(frozen=True)
 class UserTransform:
-    """A dynamic given only through its Laplace transform."""
+    """A dynamic given only through its Laplace transform.
+
+    fn takes and returns one scalar; ``transform`` applies it to each entry
+    of an array of nodes, so a callable written with ``cmath`` works as it is.
+    """
 
     fn: Callable[[Complex], Complex]
 
-    def transform(self, z: Complex) -> Complex:
-        return self.fn(z)
+    def transform(self, z):
+        return np.vectorize(self.fn)(z)[()]
 
 
 Dynamic = Union[Monomial, Exponential, UserTransform]
@@ -115,25 +120,23 @@ class RatePrediction:
 # Models
 # ---------------------------------------------------------------------------
 
-def _require_right_half(lam: Complex) -> complex:
-    """Domain guard for kernel-transform evaluation.
+def _transform_nodes(lam) -> np.ndarray:
+    """lam as a float or complex array for a kernel transform.
 
-    Real arguments must be strictly positive: the kernel transforms diverge
-    at zero.  Complex arguments may sit anywhere off the branch cut:
-    inversion contours bend into the left half-plane but keep a nonzero
-    imaginary part, so principal branches are never crossed.
+    Real entries must be strictly positive (NaN is refused too): the kernel
+    transforms diverge at zero.  Complex entries may sit anywhere off the
+    branch cut: inversion contours bend into the left half-plane but keep a
+    nonzero imaginary part, so principal branches are never crossed.  The
+    array keeps lam's dtype, so real nodes give real values and complex
+    nodes complex ones.
     """
-    z = complex(lam)
-    if z.imag == 0.0 and z.real <= 0.0:
-        raise DomainError(f"real argument must be positive, got {lam!r}")
+    z = np.asarray(lam)
+    if z.dtype.kind not in "fc":
+        z = z.astype(float)
+    bad = (z.imag == 0.0) & ~(z.real > 0.0)
+    if bad.any():
+        raise DomainError(f"real argument must be positive, got {z[bad][0]!r}")
     return z
-
-
-def _as_output(value: complex, lam: Complex) -> Complex:
-    """Return a plain float for real input, complex otherwise."""
-    if isinstance(lam, complex) and lam.imag != 0.0:
-        return value
-    return value.real
 
 
 def _kernel_times(t, method: str, positive: bool = False) -> np.ndarray:
@@ -183,8 +186,11 @@ class SubordinatorModel:
         """Exponent l K(l) in E[exp(-l S(t))] = exp(-t * exponent(l)); Re l >= 0."""
         return 0.0 if lam == 0 else lam * self.kernel_transform(lam)
 
-    def kernel_transform(self, lam: Complex) -> Complex:
-        """Laplace transform of the tail kernel; Re l > 0."""
+    def kernel_transform(self, lam):
+        """Laplace transform of the tail kernel, elementwise; Re l > 0.
+
+        lam is a scalar or an array of nodes; a scalar gives a scalar.
+        """
         raise NotImplementedError
 
     # -- kernel side (power + distributed-order families) --------------------
@@ -230,8 +236,7 @@ class StableSubordinator(SubordinatorModel):
                           power_index=alpha)
 
     def kernel_transform(self, lam):
-        z = _require_right_half(lam)
-        return _as_output(z ** (self.alpha - 1.0), lam)
+        return _transform_nodes(lam) ** (self.alpha - 1.0)
 
     def kernel(self, t):
         t = _kernel_times(t, "kernel", positive=True)
@@ -328,8 +333,9 @@ class DistributedOrderSubordinator(SubordinatorModel):
     """Kernel averaged uniformly over power orders in (0,1).
 
     k(t) = int_0^1 t^(a-1)/Gamma(a) da, with kernel transform
-    (l - 1)/(l log l) -- a removable singularity at l = 1 evaluated by a
-    short Taylor expansion to dodge catastrophic cancellation.
+    (l - 1)/(l log l) -- a removable singularity at l = 1, where nodes within
+    _TAYLOR_RADIUS take a short Taylor expansion to dodge catastrophic
+    cancellation.
     """
 
     config_tag = "distributed-order"
@@ -340,13 +346,13 @@ class DistributedOrderSubordinator(SubordinatorModel):
     _TAYLOR_RADIUS = 1e-4
 
     def kernel_transform(self, lam):
-        z = _require_right_half(lam)
+        z = _transform_nodes(lam)
         w = z - 1.0
-        if abs(w) < self._TAYLOR_RADIUS:
-            val = 1.0 + w * (-0.5 + w * (5.0 / 12.0 - 3.0 * w / 8.0))
-        else:
-            val = w / (z * cmath.log(z))
-        return _as_output(val, lam)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at l = 1, masked
+            val = np.where(np.abs(w) < self._TAYLOR_RADIUS,
+                           1.0 + w * (-0.5 + w * (5.0 / 12.0 - 3.0 * w / 8.0)),
+                           w / (z * np.log(z)))
+        return val[()]
 
     def kernel(self, t):
         t = _kernel_times(t, "kernel", positive=True)
@@ -389,16 +395,21 @@ class ParametricLogSubordinator(SubordinatorModel):
         vars(self).update(s=s, scale=scale, log_rate_scale=1.0 + s)
 
     def kernel_transform(self, lam):
-        z = _require_right_half(lam)
-        val = self.scale * (1.0 + _log1p_recip(z)) ** (-1.0 - self.s) / z
-        return _as_output(val, lam)
+        z = _transform_nodes(lam)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return self.scale * (1.0 + _log1p_recip(z)) ** (-1.0 - self.s) / z
 
 
-def _log1p_recip(z: complex) -> complex:
-    """log(1 + 1/z) on the principal branch, stable for tiny and huge |z|."""
-    if z.imag == 0.0:
-        return complex(math.log1p(1.0 / z.real))
-    return cmath.log(1.0 + 1.0 / z)
+def _log1p_recip(z: np.ndarray) -> np.ndarray:
+    """log(1 + 1/z) on the principal branch, elementwise.
+
+    Real entries, also those of a complex array (a contour's node on the
+    positive axis), take the real log1p, which keeps tiny 1/z exact.
+    """
+    w = 1.0 / z
+    if w.dtype.kind == "f":
+        return np.log1p(w)
+    return np.where(z.imag == 0.0, np.log1p(w.real), np.log(1.0 + w))
 
 
 # ---------------------------------------------------------------------------

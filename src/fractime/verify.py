@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx
 
 from .asymptotics import fit_rate, log_grid, rate_grid_for, verify_class
@@ -94,6 +93,9 @@ def ml_reference(alpha: float, x: float) -> float:
         return 1.0
     if alpha == 0.5:
         return float(erfcx(x))
+    # imported here: scipy.integrate stays off the import path of fractime
+    from scipy.integrate import quad
+
     t = x ** (1.0 / alpha)
     sa, ca = math.sin(alpha * math.pi), math.cos(alpha * math.pi)
 

@@ -202,6 +202,18 @@ def test_console_entry_point():
     assert float(proc.stdout.strip()) == 1.0
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate adds about 18 MB to a fresh interpreter; only
+    # verify.ml_reference uses it, and imports it in its body
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fractime, fractime.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_mc_csv_has_std_error_column(tmp_path, capsys):
     path = tmp_path / "mc.csv"
     code, _, _ = run_cli(

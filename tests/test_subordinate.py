@@ -1,5 +1,6 @@
 """Subordinated curves: transform formulas and agreement across the three routes."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -19,15 +20,20 @@ from fractime import (
     TwoStableSubordinator,
     UserTransform,
     UnsupportedDynamicError,
+    cesaro_curve,
+    cesaro_mean,
     double_transform_residual,
+    gaver_stehfest_invert,
     inverse_stable_density,
     stable_closed_form,
     stable_quadrature,
     subordinated_curve,
     subordinated_transform,
     subordinated_value,
+    talbot_invert,
     wright,
 )
+from fractime.laplace import _TALBOT_SHAPE, _talbot_nodes
 from fractime.subordinate import exact_double_transform
 from conftest import ml_erfcx_oracle, ml_series_oracle
 
@@ -68,6 +74,72 @@ class TestTransform:
     def test_non_dynamic_is_unsupported(self):
         with pytest.raises(UnsupportedDynamicError):
             subordinated_transform(StableSubordinator(0.5), object(), 1.0)
+
+
+def _contour(t):
+    """The default Talbot contour's 32 nodes at t; node 0 is real."""
+    path, _ = _talbot_nodes(32)
+    return _TALBOT_SHAPE * 32 / t * path
+
+
+PARITY_MODELS = ALL_MODELS + [StableSubordinator(0.3), ParametricLogSubordinator(1.5, 0.7)]
+PARITY_DYNAMICS = [Monomial(1), Monomial(171), Exponential(0.7),
+                   UserTransform(lambda z: 1.0 / (z + 0.7))]
+PARITY_NODES = {
+    # a contour's node 0 is real: c3 takes log1p there inside a complex array
+    "contour t=1e-3": _contour(1e-3),
+    "contour t=1": _contour(1.0),
+    "contour t=1e12": _contour(1e12),
+    # the distributed-order Taylor window |l - 1| < 1e-4, among nodes outside it
+    "taylor window": np.array([0.5, 1.0 - 5e-5, 1.0, 1.0 + 3e-5 + 2e-5j, 1.0 + 2e-4, 3.0 - 1j]),
+    "real": np.geomspace(1e-6, 1e6, 13),
+    "long double": np.geomspace(0.01, 10.0, 16, dtype=np.longdouble),
+}
+
+
+# numpy's complex multiply loop for arrays fuses multiply-adds that 0-d
+# operands do not, so entries may differ in the last few bits (measured: 2.7 ulp)
+PARITY_RTOL = 8 * np.finfo(float).eps
+
+
+class TestArrayParity:
+    """An array of nodes gives the stack of the scalar calls, entry by entry."""
+
+    @pytest.mark.parametrize("nodes", PARITY_NODES.values(), ids=PARITY_NODES.keys())
+    @pytest.mark.parametrize("dyn", PARITY_DYNAMICS, ids=["mono:1", "mono:171", "exp:0.7", "user"])
+    @pytest.mark.parametrize("model", PARITY_MODELS, ids=repr)
+    def test_subordinated_transform(self, model, dyn, nodes):
+        try:
+            stacked = np.array([subordinated_transform(model, dyn, z) for z in nodes])
+        except DomainError:
+            with pytest.raises(DomainError):
+                subordinated_transform(model, dyn, nodes)
+            return
+        got = subordinated_transform(model, dyn, nodes)
+        assert got.shape == nodes.shape and got.dtype == stacked.dtype
+        np.testing.assert_allclose(got, stacked, rtol=PARITY_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("nodes", PARITY_NODES.values(), ids=PARITY_NODES.keys())
+    @pytest.mark.parametrize("model", PARITY_MODELS, ids=repr)
+    def test_kernel_transform(self, model, nodes):
+        stacked = np.array([model.kernel_transform(z) for z in nodes])
+        np.testing.assert_allclose(model.kernel_transform(nodes), stacked,
+                                   rtol=PARITY_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("model", PARITY_MODELS, ids=repr)
+    def test_scalar_in_scalar_out(self, model):
+        assert np.ndim(model.kernel_transform(2.0)) == 0
+        assert np.ndim(subordinated_transform(model, Exponential(1.0), 2.0 + 1.0j)) == 0
+        assert np.ndim(subordinated_transform(model, PARITY_DYNAMICS[-1], 2.0)) == 0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, -2.0 + 0.0j])
+    @pytest.mark.parametrize("model", PARITY_MODELS, ids=repr)
+    def test_any_real_nonpositive_entry_raises(self, model, bad):
+        nodes = np.array([1.0 + 1.0j, 2.0, bad, 3.0 - 1.0j])
+        with pytest.raises(DomainError):
+            model.kernel_transform(nodes)
+        with pytest.raises(DomainError):
+            model.kernel_transform(nodes.real)
 
 
 class TestValue:
@@ -207,16 +279,51 @@ class TestDoubleTransform:
     def test_residual_small(self):
         assert double_transform_residual(0.5, 1.0, 1.0) <= 1e-4
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
+    @pytest.mark.parametrize("p,lam", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
+    def test_fixed_outer_rule_matches_tanh_sinh(self, alpha, p, lam):
+        # the outer integral over t in [0, 30/lam] by mpmath's tanh-sinh rule,
+        # which resolves the t^alpha behavior at 0 to roundoff
+        from fractime.subordinate import _HEAD, _table
 
-def test_user_transform_end_to_end():
-    # a dynamic supplied only through its transform inverts to the same curve
+        nodes, wts = _table(alpha, _HEAD, 0)
+
+        def integrand(t):
+            t = float(t)
+            return math.exp(-lam * t) * float(np.dot(wts, np.exp(-p * t ** alpha * nodes)))
+
+        outer = float(mp.quad(integrand, [0.0, 1e-6, 1e-3, 0.1, 1.0, 30.0 / lam]))
+        converged = abs(outer - exact_double_transform(alpha, p, lam))
+        assert double_transform_residual(alpha, p, lam) == pytest.approx(converged, abs=1e-9)
+
+
+@pytest.mark.parametrize("fn", [lambda z: 1.0 / (z + 0.7),
+                                lambda z: cmath.exp(-cmath.log(z + 0.7))],
+                         ids=["arithmetic", "cmath-only"])
+def test_user_transform_end_to_end(fn):
+    # a dynamic supplied only through a scalar transform inverts to the same curve
     model = TwoStableSubordinator(0.5, 0.75)
-    dyn = UserTransform(lambda z: 1.0 / (z + 0.7))
+    dyn = UserTransform(fn)
     for t in (0.5, 3.0, 20.0):
         via_user = subordinated_value(model, dyn, t)
         via_builtin = subordinated_value(model, Exponential(0.7), t)
         # same transform up to evaluation order; contour roundoff ~1e-11
         assert via_user == pytest.approx(via_builtin, rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+def test_times_outside_zero_to_infinity_raise_typed_errors(t):
+    model, dyn = StableSubordinator(0.5), Monomial(1)
+    for call, error in [
+        (lambda: talbot_invert(lambda lam: 1.0 / lam, t), ConfigError),
+        (lambda: gaver_stehfest_invert(lambda lam: 1.0 / lam, t), ConfigError),
+        (lambda: cesaro_mean(model, dyn, t), DomainError),
+        (lambda: subordinated_value(model, dyn, t), ConfigError),
+        (lambda: subordinated_curve(model, dyn, [1.0, t]), ConfigError),
+        (lambda: cesaro_curve(model, dyn, [1.0, t]), ConfigError),
+    ]:
+        with pytest.raises(error):
+            call()
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
@@ -251,6 +358,13 @@ def test_non_finite_arguments_raise_typed_errors(call, error):
 def test_monomial_overflow_signaled():
     with pytest.raises(DomainError):
         subordinated_transform(StableSubordinator(0.5), Monomial(200), 0.01 + 0j)
+
+
+def test_user_transform_overflow_signaled():
+    # a callable in cmath raises OverflowError where numpy would return inf
+    dyn = UserTransform(lambda z: cmath.exp(1e3 / z))
+    with pytest.raises(DomainError):
+        subordinated_transform(StableSubordinator(0.5), dyn, np.array([1.0 + 1.0j, 0.01]))
 
 
 def test_curve_routes_agree():
