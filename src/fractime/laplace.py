@@ -17,7 +17,8 @@ reals for Gaver-Stehfest), and sums the array it returns.  Every transform
 in the package -- the model kernel transforms, the dynamics' transforms and
 their composition ``subordinated_transform`` -- is elementwise on arrays;
 a transform written for one scalar belongs in ``UserTransform``, which
-applies it entry by entry.  ``invert_on_grid`` still inverts one t at a
+applies it entry by entry; given to an inverter directly, a transform that
+cannot take the array raises ConfigError.  ``invert_on_grid`` still inverts one t at a
 time.  No module that ``import fractime`` loads imports ``scipy.integrate``.
 """
 
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InversionError
+from .errors import ConfigError, FractimeError, InversionError
 from .grids import GridFunction
 
 TALBOT = "talbot"
@@ -120,6 +121,23 @@ def _require_time(t: float) -> None:
         raise ConfigError(f"inversion requires a finite t > 0, got {t}")
 
 
+def _evaluate(transform, nodes: np.ndarray) -> np.ndarray:
+    """transform(nodes) as an array of the nodes' shape.
+
+    A transform that cannot take the array (a scalar function in math or
+    cmath, or one that branches on its argument) raises ConfigError.
+    """
+    try:
+        return np.broadcast_to(transform(nodes), nodes.shape)
+    except FractimeError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            "transform must be elementwise on an ndarray of nodes; "
+            "wrap a scalar function in UserTransform"
+        ) from exc
+
+
 def talbot_invert(
     transform: Callable[[np.ndarray], np.ndarray],
     t: float,
@@ -141,7 +159,7 @@ def talbot_invert(
     r = _TALBOT_SHAPE * m / t
     path, sigma = _talbot_nodes(m)
     p = r * path
-    fv = np.broadcast_to(transform(p), p.shape)
+    fv = _evaluate(transform, p)
     bad = ~np.isfinite(fv)
     if bad.any():
         raise InversionError(
@@ -173,7 +191,7 @@ def gaver_stehfest_invert(
     # transforms that compute in double degrade gracefully.
     scale = np.longdouble(_LN2) / np.longdouble(t)
     nodes = scale * np.arange(1, cfg.terms + 1, dtype=np.longdouble)
-    vals = np.broadcast_to(transform(nodes), nodes.shape)
+    vals = _evaluate(transform, nodes)
     bad = ~np.isfinite(vals)
     if bad.any():
         raise InversionError(f"transform returned non-finite value at {nodes[bad][0]}", t=t)

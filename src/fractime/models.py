@@ -407,8 +407,6 @@ def _log1p_recip(z: np.ndarray) -> np.ndarray:
     positive axis), take the real log1p, which keeps tiny 1/z exact.
     """
     w = 1.0 / z
-    if w.dtype.kind == "f":
-        return np.log1p(w)
     return np.where(z.imag == 0.0, np.log1p(w.real), np.log(1.0 + w))
 
 
