@@ -191,7 +191,7 @@ class SubordinatorModel:
 
         lam is a scalar or an array of nodes; a scalar gives a scalar.
         """
-        raise NotImplementedError
+        raise UnsupportedModelError(f"{type(self).__name__} states no kernel transform")
 
     # -- kernel side (power + distributed-order families) --------------------
     def kernel(self, t: float) -> float:
@@ -205,6 +205,15 @@ class SubordinatorModel:
     def kernel_conv_power(self, gamma: float, t: float):
         """Convolution of the kernel with s^gamma over [0, t] (closed form)."""
         raise UnsupportedModelError(f"{type(self).__name__} defines no kernel")
+
+    def small_jump_exponent(self, cutoff: float, lam):
+        """I_c(l) = int_0^c (1 - e^(-l x) - l x) nu(dx), elementwise in lam.
+
+        The model with its jumps below c folded into drift has the exponent
+        l K(l) - I_c(l); Monte Carlo simulates that process and needs I_c to
+        compute what the truncation costs.
+        """
+        raise UnsupportedModelError(f"{type(self).__name__} states no small-jump exponent")
 
     def predict_rate(self, dynamic: Dynamic) -> RatePrediction:
         """Predicted Cesaro-mean exponents for a monomial or decaying exponential."""
@@ -300,6 +309,10 @@ _DO_NODES = 0.5 * (_GL_NODES + 1.0)
 _DO_WEIGHTS = 0.5 * _GL_WEIGHTS
 _DO_KERNEL_W = _DO_WEIGHTS * _rgamma(_DO_NODES)          # w_i / Gamma(a_i)
 _DO_CUM_W = _DO_WEIGHTS * _rgamma(1.0 + _DO_NODES)       # w_i / Gamma(1 + a_i)
+_DO_JUMP_W = _DO_WEIGHTS * (1.0 - _DO_NODES) * _rgamma(_DO_NODES)  # nu(dx) = sum x^(a_i-2) dx
+# |l| c beyond which the small-jump series is refused: summed in doubles, it
+# cancels by up to exp(|l| c) where Re l > 0
+_SERIES_RADIUS = 32.0
 _POWER_BLOCK = 512  # rows of the power table formed at once; 512 x 96 doubles stay in cache
 
 
@@ -369,6 +382,29 @@ class DistributedOrderSubordinator(SubordinatorModel):
         w = _DO_WEIGHTS * _gamma(1.0 + gamma) * _rgamma(1.0 + gamma + _DO_NODES)
         out = _power_sum(t, gamma + _DO_NODES, w)
         return float(out) if out.ndim == 0 else out
+
+    def small_jump_exponent(self, cutoff, lam):
+        """I_c(l) from the entire series in z = -l c.
+
+        With nu(dx) = sum_i coef_i x^(a_i - 2) dx over the order nodes,
+        coef_i = w_i (1 - a_i)/Gamma(a_i), termwise integration gives
+        I_c(l) = -sum_(j>=2) s_j z^j / j!, s_j = sum_i coef_i c^(a_i-1)/(j + a_i - 1).
+        It is summed to 2e|z| + 40 terms, past which they fall below 2^-j
+        of the largest; |z| > _SERIES_RADIUS raises DomainError.
+        """
+        cutoff = float(cutoff)
+        if not 0.0 < cutoff < math.inf:
+            raise DomainError(f"jump cutoff must be positive and finite, got {cutoff!r}")
+        z = -cutoff * np.asarray(lam)
+        radius = float(np.max(np.abs(z), initial=0.0))
+        if not radius <= _SERIES_RADIUS:
+            raise DomainError(f"small-jump series needs |lam| cutoff <= {_SERIES_RADIUS:g}, "
+                              f"got {radius!r}")
+        j = np.arange(1.0, int(2.0 * math.e * radius) + 42.0)
+        terms = np.cumprod(np.multiply.outer(z, 1.0 / j), axis=-1)[..., 1:]   # z^j / j!, j >= 2
+        s = (_DO_JUMP_W * cutoff ** (_DO_NODES - 1.0)) @ (
+            1.0 / np.add.outer(_DO_NODES - 1.0, j[1:]))
+        return -(terms @ s)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ per index (that curve is increasing and has the one-dimensional laws of
 S(s), so P(root > s) = P(S(s) <= t) = P(E(t) > s)); stable variates are
 drawn in logs, so small indices whose S(1) leaves the doubles stay finite.
 Every other model is truncated to drift plus compound Poisson, built from
-its tail kernel with the jumps below `_JUMP_CUTOFF` folded into the
-drift, and each path's first passage above t is found exactly from its
-events: at the jump that carries the level past t, or on the linear
-stretch before it (a model without a time-domain kernel cannot be
-simulated).  Streams are counter-based per fixed-size chunk and reduced in
-chunk order, so results are bit-identical for a given (seed, n_paths) at
-any thread count (`McConfig.workers`, capped by the chunk and CPU counts).
+its tail kernel with the jumps below a cutoff folded into the drift, and
+each path's first passage above t is found exactly from its events: at the
+jump that carries the level past t, or on the linear stretch before it.
+The truncated process has the exact exponent l K(l) - I_c(l), with I_c the
+model's small-jump exponent, so its u_E(t) is one more inversion: the
+cutoff follows the level, the largest on a halving ladder from 1e-2 t whose
+computed bias is at most 1e-6 of |u_E(t)| (a model that states no I_c
+cannot be simulated).  Streams are counter-based per fixed-size chunk and
+reduced in chunk order, so results are bit-identical for a given
+(seed, n_paths) at any thread count (`McConfig.workers`, capped by the
+chunk and CPU counts).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, UnsupportedDynamicError, UnsupportedModelError
 from .models import Dynamic, Exponential, Monomial, SubordinatorModel
+from .subordinate import subordinated_value
 
 _CHUNK = 4096          # fixed chunk size; part of the reproducibility contract
 
@@ -55,12 +60,19 @@ _MIN_ESS = 10.0
 @dataclass(frozen=True)
 class McEstimate:
     """Mean of u(E(t)) over n paths, its standard error, and the effective
-    sample size (sum v)^2 / sum v^2 of the values v = u(E(t)) behind it."""
+    sample size (sum v)^2 / sum v^2 of the values v = u(E(t)) behind it.
+
+    A compound-Poisson model simulates its process with the jumps below
+    ``cutoff`` folded into drift; ``bias`` is u_E(t) of that process minus
+    u_E(t), both from inversion.  Exact draws have cutoff and bias 0.
+    """
 
     mean: float
     std_error: float
     n: int
     ess: float
+    cutoff: float = 0.0
+    bias: float = 0.0
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -84,6 +96,10 @@ def _log_stable_unit(alpha: float, u, w):
                 + (1.0 - alpha) / alpha * (np.log(np.sin((1.0 - alpha) * u)) - np.log(w)))
 
 
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max   # the normal doubles
+_LOG_TINY, _LOG_HUGE = math.log(_TINY), math.log(_HUGE)
+
+
 def _check_stable(alpha: float, t: float) -> float:
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
@@ -97,14 +113,20 @@ def sample_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
     """Draw S(t) for the stable subordinator normalized by E[e^{-l S(t)}] = e^{-t l^a}.
 
     Uses the exact trigonometric construction (uniform angle + unit
-    exponential), rejection-free, with S(t) = t^(1/a) S(1) by self-similarity,
-    taken in logs: exp(log t / a + log S(1)).  A draw takes its 0 or inf
-    limit only where the value itself does not fit a double.
+    exponential), rejection-free, with S(t) = t^(1/a) S(1) by self-similarity.
+    S(1) is formed in logs; where t^(1/a) and S(1) both fit a double the
+    draw is their product, and elsewhere exp(log t / a + log S(1)), which
+    takes its 0 or inf limit only where the value itself does not fit.
     """
     alpha = _check_stable(alpha, t)
     log_unit = _log_stable_unit(alpha, *_stable_variates(rng, size))
-    with np.errstate(over="ignore"):
-        return np.exp(math.log(t) / alpha + log_unit)
+    with np.errstate(over="ignore", under="ignore"):
+        logs = np.exp(math.log(t) / alpha + log_unit)
+        scale = np.float64(t) ** (1.0 / alpha)
+        if not _TINY <= scale <= _HUGE:
+            return logs
+        fits = (_LOG_TINY < log_unit) & (log_unit < _LOG_HUGE)
+        return np.where(fits, scale * np.exp(log_unit), logs)[()]
 
 
 def sample_inverse_stable(alpha: float, t: float, rng: np.random.Generator, size=None):
@@ -160,12 +182,14 @@ def _stable_sum_passage(indices: tuple, t: float, rng, n: int) -> np.ndarray:
 # Compound-Poisson first passage
 # ---------------------------------------------------------------------------
 
-# Small-jump truncation for compound-Poisson models, their one
-# approximation: jumps below the cutoff become drift.  At 1e-4 and 1e5
-# paths, distributed-order mono:1 at t = 1e-3 reads -3.9e-3 and -1.5e-3
-# relative to inversion (3.5 and 1.3 SE, seeds 1 and 2); for t = 1e-2, 0.1
-# and 1 it is within 1.5 SE.
-_JUMP_CUTOFF = 1e-4
+# Small-jump truncation, the one approximation of compound-Poisson models:
+# jumps below the cutoff become drift.  The cutoff follows the level: the
+# largest rung of a halving ladder from _CUTOFF_TOP * t whose computed bias is
+# at most _BIAS_TOL of |u_E(t)|.  At the top rung |l| c <= 4 on the Talbot
+# contour, where the small-jump series needs no more than about 40 terms.
+_BIAS_TOL = 1e-6
+_CUTOFF_TOP = 1e-2
+_CUTOFF_RUNGS = 60     # rungs tried before ConvergenceError: down to about 1e-20 t
 _JUMP_NODES = 4096     # inverse-survival table, uniform in log u
 _EVENT_BLOCK = 1 << 14  # events drawn per pass, shared among the paths still below t
 _EVENT_CAP = 1 << 20   # events one path may take before its passage counts as lost
@@ -281,13 +305,45 @@ def _check_level(t: float) -> None:
         raise ConfigError(f"need a finite level t >= 0, got {t!r}")
 
 
-def _passage_sampler(model: SubordinatorModel, t: float):
-    """draw(rng, n) -> n exact draws of E(t) (compound-Poisson models: of the truncated process)."""
+@dataclass(frozen=True)
+class _Truncated(SubordinatorModel):
+    """model with its jumps below cutoff folded into drift: kernel transform K - I_c / l."""
+
+    model: SubordinatorModel
+    cutoff: float
+
+    def kernel_transform(self, lam):
+        return (self.model.kernel_transform(lam)
+                - self.model.small_jump_exponent(self.cutoff, lam) / lam)
+
+
+def _jump_cutoff(model: SubordinatorModel, dynamic: Dynamic, t: float):
+    """(cutoff, bias): the largest rung _CUTOFF_TOP t 2^-k whose bias
+    u_E^c(t) - u_E(t), both by Talbot inversion, is at most _BIAS_TOL |u_E(t)|.
+
+    A model that states no small-jump exponent raises UnsupportedModelError.
+    """
+    exact = subordinated_value(model, dynamic, t)
+    cutoff = _CUTOFF_TOP * t
+    for _ in range(_CUTOFF_RUNGS):
+        bias = subordinated_value(_Truncated(model, cutoff), dynamic, t) - exact
+        if abs(bias) <= _BIAS_TOL * abs(exact):
+            return cutoff, bias
+        cutoff *= 0.5
+    raise ConvergenceError(f"no jump cutoff down to {cutoff:.3g} keeps the bias of "
+                           f"u^E({t!r}) within {_BIAS_TOL:g} of its value")
+
+
+def _passage_sampler(model: SubordinatorModel, dynamic: Dynamic, t: float):
+    """(draw, cutoff, bias): draw(rng, n) gives n exact draws of E(t), of the
+    truncated process for compound-Poisson models, whose cutoff keeps the
+    bias for this dynamic within _BIAS_TOL."""
     indices = model.stable_indices
     if indices:
-        return lambda rng, n: _stable_sum_passage(indices, t, rng, n)
-    process = _CompoundPoisson(model, _JUMP_CUTOFF, 2.0 * t + 1.0)
-    return lambda rng, n: _compound_poisson_passage(process, t, rng, n)
+        return (lambda rng, n: _stable_sum_passage(indices, t, rng, n)), 0.0, 0.0
+    cutoff, bias = _jump_cutoff(model, dynamic, t)
+    process = _CompoundPoisson(model, cutoff, 2.0 * t + 1.0)
+    return (lambda rng, n: _compound_poisson_passage(process, t, rng, n)), cutoff, bias
 
 
 def first_passage(
@@ -298,24 +354,19 @@ def first_passage(
     """One draw of the inverse time E(t) = inf{s : S(s) > t}, with no time steps.
 
     Sums of stables are drawn exactly; compound-Poisson models find the
-    passage of their truncated process exactly, at a jump or between two.
+    passage of their truncated process exactly, at a jump or between two,
+    with the cutoff estimate_ue takes for u(t) = t.
     """
     _check_level(t)
     if t == 0.0:
         return 0.0
-    draw = _passage_sampler(model, t)
+    draw, _, _ = _passage_sampler(model, Monomial(1), t)
     return float(draw(rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
 # Estimation
 # ---------------------------------------------------------------------------
-
-def _dynamic_values(dynamic: Dynamic, draws: np.ndarray) -> np.ndarray:
-    if isinstance(dynamic, (Monomial, Exponential)):
-        return np.asarray(dynamic.value(draws), dtype=float)
-    raise UnsupportedDynamicError("Monte Carlo needs a time-domain dynamic (monomial/exponential)")
-
 
 def estimate_ue(
     model: SubordinatorModel,
@@ -327,9 +378,11 @@ def estimate_ue(
 
     Every draw of E(t) is exact, with no time steps: sums of stables solve
     for it directly, and compound-Poisson models find each path's passage
-    from its events (the one approximation is the jump cutoff `_JUMP_CUTOFF`).  Estimates
-    are reduced chunk-by-chunk in a fixed order, so (seed, n_paths) pins
-    the result bit-for-bit whatever the worker count.  A mean or standard
+    from its events.  Their one approximation is the jump cutoff, chosen
+    per (model, dynamic, t) so that its computed bias, reported with the
+    estimate, is at most 1e-6 of |u_E(t)|.  Estimates are reduced
+    chunk-by-chunk in a fixed order, so (seed, n_paths) pins the result
+    bit-for-bit whatever the worker count.  A mean or standard
     error that is not finite raises ConvergenceError, and so does an
     effective sample size below 10: a rare-event expectation carried by a
     few draws has a standard error as unreliable as its mean.
@@ -337,14 +390,17 @@ def estimate_ue(
     _check_level(t)
     if t == 0.0:
         raise ConfigError("need t > 0")
-    draw = _passage_sampler(model, t)
+    if not isinstance(dynamic, (Monomial, Exponential)):
+        raise UnsupportedDynamicError(
+            "Monte Carlo needs a time-domain dynamic (monomial/exponential)")
+    draw, cutoff, bias = _passage_sampler(model, dynamic, t)
 
     n_chunks = (cfg.n_paths + _CHUNK - 1) // _CHUNK
 
     def run_chunk(c: int):
         n = min(_CHUNK, cfg.n_paths - c * _CHUNK)
         with np.errstate(over="ignore"):    # a non-finite estimate raises below
-            vals = _dynamic_values(dynamic, draw(_chunk_rng(cfg.seed, c), n))
+            vals = dynamic.value(draw(_chunk_rng(cfg.seed, c), n))
             return float(vals.sum()), float(np.dot(vals, vals)), n
 
     workers = min(cfg.workers, n_chunks, os.cpu_count() or 1)
@@ -365,4 +421,5 @@ def estimate_ue(
         raise ConvergenceError(
             f"Monte Carlo estimate of u^E({t!r}) rests on an effective sample of "
             f"{ess:.3g} of {n_total} paths (need {_MIN_ESS:g}): a rare-event expectation")
-    return McEstimate(mean=mean, std_error=math.sqrt(var / n_total), n=n_total, ess=ess)
+    return McEstimate(mean=mean, std_error=math.sqrt(var / n_total), n=n_total, ess=ess,
+                      cutoff=cutoff, bias=bias)

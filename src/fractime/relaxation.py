@@ -16,10 +16,12 @@ models that state none (transform-only kernels) are rejected.
 Past the first step the rows form one lower-triangular Toeplitz system,
 solved by blocked forward substitution (Hairer, Lubich & Schlichte, SIAM
 J. Sci. Stat. Comput. 1985): each block of rows takes the solved rows'
-share in one matrix-vector product and then solves a small triangular
-block, so no Python runs per row.  The two full convolution sums, the
-starting correction's and the residual check's, are taken by real FFT, so
-outside the solve a problem costs O(N log N).
+share in one matrix-vector product and then applies the precomputed
+inverse of the small triangular diagonal block, so no Python runs per row.
+The two full convolution sums, the starting correction's and the residual
+check's, are taken by numpy's real FFT, so outside the solve a problem
+costs O(N log N).  Only numpy is used: scipy.linalg and scipy.fft stay
+unloaded.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import ConfigError, UnsupportedModelError
 from .grids import GridFunction
@@ -69,6 +68,19 @@ class RelaxationProblem:
             raise ConfigError(f"horizon / h exceeds {_MAX_STEPS} steps")
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth number 2^i 3^j 5^k >= n, a length the FFT splits fully."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The first n = a.size terms of the convolution a * b, by real FFT.
 
@@ -76,8 +88,8 @@ def _causal_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     term wraps around into the n kept.
     """
     n = a.size
-    size = next_fast_len(2 * n - 1, real=True)
-    return irfft(rfft(a, size) * rfft(b, size), size)[:n]
+    size = _fast_len(2 * n - 1)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 @lru_cache(maxsize=1)
@@ -116,20 +128,22 @@ def _toeplitz_forward(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Each block of _BLOCK rows first takes off the solved rows' share in one
     matrix-vector product with the slab G[p, k] = c[p + k], read against
-    the solution stored in reverse, then solves the fixed lower-triangular
-    Toeplitz diagonal block.
+    the solution stored in reverse, then applies the inverse of the fixed
+    lower-triangular Toeplitz diagonal block, computed once.  The leading
+    m x m corner of that inverse is the inverse of the block's corner, so
+    a short last block uses it too.
     """
     n = rhs.size
     padded = np.zeros(n + _BLOCK - 1)
     padded[:n] = c[:n]
     slab = np.lib.stride_tricks.sliding_window_view(padded, n)[:_BLOCK].copy()
-    diag = np.asfortranarray(toeplitz(padded[:_BLOCK], np.zeros(_BLOCK)))
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    inverse = np.linalg.inv(np.where(lag >= 0, padded[np.maximum(lag, 0)], 0.0))
     rev = np.empty(n)  # rev[n - 1 - j] = x[j]
     for s in range(0, n, _BLOCK):
         m = min(_BLOCK, n - s)
         part = rhs[s:s + m] - slab[:m, 1:s + 1] @ rev[n - s:]
-        x, _ = dtrtrs(diag[:m, :m], part, lower=1)
-        rev[n - s - m:n - s] = x[::-1]
+        rev[n - s - m:n - s] = (inverse[:m, :m] @ part)[::-1]
     return rev[::-1]
 
 
@@ -140,8 +154,7 @@ def solve_relaxation(prob: RelaxationProblem) -> GridFunction:
     Rows 2..N then form one lower-triangular Toeplitz system in u_2..u_N,
     with c_0 = W_0 + a h and c_k = W_k + a h (the implicit damping sum
     folded into the convolution weights); it is solved by blocked forward
-    substitution, one matrix-vector product and one small triangular solve
-    per block of rows.
+    substitution, two matrix-vector products per block of rows.
     """
     t, cumulative, weights, b = _scheme_arrays(prob)
     steps = t.size - 1

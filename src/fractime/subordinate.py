@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc, roots_jacobi
+from scipy.special import gammaincc
 
 from .errors import ConvergenceError, DomainError, UnsupportedDynamicError
 from .grids import GridFunction
@@ -207,6 +207,21 @@ _OUTER_ORDER = 16
 _OUTER_GAUSS = np.polynomial.legendre.leggauss(_OUTER_ORDER)
 
 
+def _gauss_jacobi_head(b: float):
+    """Gauss rule of _OUTER_ORDER nodes for the weight (1 + u)^b on [-1, 1], b > 0.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials P^(0, b), and the weights are the weight's mass
+    2^(b+1)/(b+1) times the squared first components of its eigenvectors.
+    """
+    k = np.arange(_OUTER_ORDER, dtype=float)
+    diag = b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0))
+    k, two_kb = k[1:], 2.0 * k[1:] + b
+    off = 2.0 * k * (k + b) / (two_kb * np.sqrt((two_kb - 1.0) * (two_kb + 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (b + 1.0) / (b + 1.0) * vectors[0] ** 2
+
+
 def _outer_rule(alpha: float):
     """Nodes s and weights w with int_0^1 s^(1/alpha - 1) f(s) ds ~ sum w f(s).
 
@@ -219,7 +234,7 @@ def _outer_rule(alpha: float):
     """
     b = 1.0 / alpha - 1.0
     head = 0.5 ** _OUTER_PANELS
-    u, wu = roots_jacobi(_OUTER_ORDER, 0.0, b)           # weight (1 + u)^b on [-1, 1]
+    u, wu = _gauss_jacobi_head(b)                        # weight (1 + u)^b on [-1, 1]
     s_parts = [0.5 * head * (u + 1.0)]
     w_parts = [(0.5 * head) ** (b + 1.0) * wu]
     x, wx = _OUTER_GAUSS

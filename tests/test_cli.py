@@ -202,16 +202,39 @@ def test_console_entry_point():
     assert float(proc.stdout.strip()) == 1.0
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate adds about 18 MB to a fresh interpreter; only
-    # verify.ml_reference uses it, and imports it in its body
+_HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.fft")
+
+
+def _loaded_after(code: str) -> list:
+    """The modules of _HEAVY loaded in a fresh interpreter after running code."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fractime, fractime.cli; print('scipy.integrate' in sys.modules)"],
+         f"import sys\n{code}\nprint(*[m for m in {_HEAVY!r} if m in sys.modules])"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate adds about 18 MB to a fresh interpreter and scipy.linalg
+    # with scipy.fft about 7 MB more; only verify.ml_reference uses
+    # scipy.integrate, and imports it in its body
+    assert _loaded_after("import fractime, fractime.cli") == []
+
+
+def test_routes_leave_scipy_linalg_and_fft_unloaded():
+    # one op of each route that once used them: a relaxation solve and its
+    # residual check, a double-transform residual (its Gauss-Jacobi panel),
+    # and a compound-Poisson Monte Carlo estimate
+    assert _loaded_after(
+        "import fractime as ft\n"
+        "prob = ft.RelaxationProblem(ft.DistributedOrderSubordinator(), a=1.0, h=1e-2,\n"
+        "                            horizon=1.0)\n"
+        "ft.residual_check(ft.solve_relaxation(prob), prob)\n"
+        "ft.double_transform_residual(0.5, 1.0, 1.0)\n"
+        "ft.estimate_ue(ft.DistributedOrderSubordinator(), ft.Monomial(1), 1.0,\n"
+        "               ft.McConfig(n_paths=1000, seed=0))") == []
 
 
 def test_mc_csv_has_std_error_column(tmp_path, capsys):

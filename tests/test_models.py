@@ -225,6 +225,36 @@ class TestKernel:
         with pytest.raises(DomainError):
             model.kernel_conv_power(gamma, -1.0)
 
+    @pytest.mark.parametrize("cutoff,lam", [(1e-3, 1.0), (1e-2, 100.0 + 50.0j),
+                                            (1e-3, -3000.0 + 400.0j), (0.5, 20.0j)])
+    def test_small_jump_exponent_by_parts(self, cutoff, lam):
+        # nu(dx) = -dk(x), so by parts I_c(l) = -(1 - e^(-lc) - lc) k(c)
+        # + l int_0^c (e^(-lx) - 1) k(x) dx, the integral taken by quad
+        model = DistributedOrderSubordinator()
+        lam = complex(lam)
+
+        def part(x):
+            return np.expm1(-lam * x) * model.kernel(x)
+
+        integral = complex(*(quad(lambda x: getattr(part(x), name), 0.0, cutoff,
+                                  epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                             for name in ("real", "imag")))
+        want = -(-np.expm1(-lam * cutoff) - lam * cutoff) * model.kernel(cutoff) + lam * integral
+        assert model.small_jump_exponent(cutoff, lam) == pytest.approx(want, rel=1e-9)
+
+    def test_small_jump_exponent_surface(self):
+        model = DistributedOrderSubordinator()
+        got = model.small_jump_exponent(1e-3, np.array([1.0, 2.0 + 1.0j]))
+        assert got.shape == (2,)
+        assert got[0] == model.small_jump_exponent(1e-3, 1.0) < 0.0   # 1 - e^(-x) - x < 0
+        assert np.isscalar(model.small_jump_exponent(1e-3, 1.0))
+        for cutoff, lam in ((0.0, 1.0), (math.nan, 1.0), (1.0, 33.0), (1e-3, -4e4 + 1.0j)):
+            with pytest.raises(DomainError):
+                model.small_jump_exponent(cutoff, lam)
+        for other in (StableSubordinator(0.5), ParametricLogSubordinator(0.5)):
+            with pytest.raises(UnsupportedModelError):
+                other.small_jump_exponent(1e-3, 1.0)
+
     def test_cumulative_matches_order_quadrature(self):
         # adaptive quadrature over the order variable of the exact
         # per-order antiderivative (independent of the fixed rule inside)

@@ -29,15 +29,18 @@ from fractime import (
     subordinated_value,
 )
 from fractime import montecarlo
+from fractime.models import _DO_JUMP_W, _DO_NODES
 from fractime.montecarlo import (
+    _BIAS_TOL,
     _chunk_rng,
     _compound_poisson_passage,
     _CompoundPoisson,
-    _JUMP_CUTOFF,
+    _jump_cutoff,
     _log_stable_unit,
     _passage_in_block,
     _stable_sum_passage,
     _stable_variates,
+    _Truncated,
 )
 from conftest import ml_erfcx_oracle
 
@@ -80,6 +83,24 @@ class TestStableSampler:
         assert np.any(np.isinf(draws))
         assert np.all(np.isinf(draws) == (logs > math.log(np.finfo(float).max)))
         assert not np.any(draws == 0.0)
+
+    def test_long_level_keeps_the_accuracy_of_the_unit_draw(self):
+        # S(t) = t^(1/a) S(1): at t = 1e12 the level adds no more than the
+        # rounding of t^(1/a) and of one product to the error S(1) carries,
+        # against 60-digit products of the same variates
+        alpha, n = 0.5, 400
+        long = sample_stable(alpha, 1e12, np.random.default_rng(12), n)
+        unit = sample_stable(alpha, 1.0, np.random.default_rng(12), n)
+        u, w = _stable_variates(np.random.default_rng(12), n)
+        with mp.workdps(60):
+            a = mp.mpf(alpha)
+            for i in range(n):
+                ui, wi = mp.mpf(u[i]), mp.mpf(w[i])
+                s1 = (mp.sin(a * ui) / mp.sin(ui) ** (1 / a)
+                      * (mp.sin((1 - a) * ui) / wi) ** ((1 - a) / a))
+                err_long = (long[i] - mp.mpf(10) ** 24 * s1) / (mp.mpf(10) ** 24 * s1)
+                err_unit = (unit[i] - s1) / s1
+                assert abs(float(err_long - err_unit)) <= 1e-15
 
     def test_small_index_scalar_draws_stay_scalars(self):
         # single draws that take the log form come back as floats, like the rest
@@ -285,14 +306,40 @@ class TestFirstPassage:
             assert 0.05 < p_passed < 0.95
             assert abs(p_passed - p_above) <= 3.5 * se
 
+    def test_truncated_passage_matches_its_computed_exponent(self):
+        # a coarse cutoff at t = 1e-2 (|lam| c <= 32 on the contour): Monte
+        # Carlo of the truncated process agrees with the inversion of
+        # l K(l) - I_c(l), while the untruncated u_E lies many SE away and a
+        # series without its j = 2 term misses too
+        class DropsSecondTerm(DistributedOrderSubordinator):
+            def small_jump_exponent(self, cutoff, lam):
+                s2 = np.dot(_DO_JUMP_W * cutoff ** (_DO_NODES - 1.0), 1.0 / (1.0 + _DO_NODES))
+                return super().small_jump_exponent(cutoff, lam) + s2 * (lam * cutoff) ** 2 / 2.0
+
+        model, t, cutoff, n = DistributedOrderSubordinator(), 1e-2, 8e-4, 400_000
+        process = _CompoundPoisson(model, cutoff, cap=2.0 * t + 1.0)
+        draws = np.concatenate([_compound_poisson_passage(process, t, _chunk_rng(31, c), n // 8)
+                                for c in range(8)])
+        for dyn in (Monomial(2), Monomial(4)):
+            vals = dyn.value(draws)
+            mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
+
+            def z(reference):
+                return (mean - subordinated_value(reference, dyn, t)) / se
+
+            assert abs(z(_Truncated(model, cutoff))) <= 3.0
+            assert abs(z(_Truncated(DropsSecondTerm(), cutoff))) > 3.0
+            assert abs(z(model)) > {2: 5.0, 4: 15.0}[dyn.n]
+
     def test_repeated_passages_draw_the_same_passage(self):
         # one stream gives one passage, and first_passage draws the same one
-        # as the truncated process it builds
+        # as the truncated process it builds, at the cutoff chosen for u(t) = t
         model = DistributedOrderSubordinator()
         first = first_passage(model, 1.0, np.random.default_rng(3))
         again = [first_passage(model, 1.0, np.random.default_rng(3)) for _ in range(5)]
         assert again == [first] * 5
-        plain = _CompoundPoisson(DistributedOrderSubordinator(), _JUMP_CUTOFF, cap=3.0)
+        cutoff, _ = _jump_cutoff(model, Monomial(1), 1.0)
+        plain = _CompoundPoisson(DistributedOrderSubordinator(), cutoff, cap=3.0)
         want = _compound_poisson_passage(plain, 1.0, np.random.default_rng(3), 1)[0]
         assert first == want
 
@@ -354,6 +401,15 @@ class TestEstimate:
         ref = subordinated_value(model, Exponential(1.0), 1.0)
         assert abs(est.mean - ref) <= 3.0 * est.std_error
 
+    def test_distributed_order_at_short_times(self):
+        # at t = 1e-3 the fixed cutoff of 1e-4 read 3.5 SE here; the level-
+        # relative cutoff keeps its bias below 1e-6
+        model = DistributedOrderSubordinator()
+        est = estimate_ue(model, Monomial(1), 1e-3, McConfig(n_paths=100_000, seed=1))
+        ref = subordinated_value(model, Monomial(1), 1e-3)
+        assert abs(est.mean - ref) <= 3.0 * est.std_error
+        assert abs(est.bias) <= _BIAS_TOL * abs(ref)
+
     def test_distributed_order_against_inversion(self):
         model = DistributedOrderSubordinator()
         est = estimate_ue(model, Exponential(1.0), 1.0, McConfig(n_paths=20_000, seed=5))
@@ -376,6 +432,18 @@ class TestEstimate:
         ref = subordinated_value(model, Exponential(1.0), 1.0)
         assert math.isfinite(est.mean)
         assert abs(est.mean - ref) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("model,dynamic,t,n_paths", [
+        (clock, dyn, t, 100_000)
+        for clock in (StableSubordinator(0.5), TwoStableSubordinator(0.5, 0.75))
+        for dyn in (Monomial(1), Exponential(1.0)) for t in (1.0, 10.0)
+    ] + [(DistributedOrderSubordinator(), dyn, 1.0, 50_000)
+         for dyn in (Monomial(1), Exponential(1.0))])
+    def test_acceptance_cases_carry_a_small_bias(self, model, dynamic, t, n_paths):
+        # the C9 cases of fractime.verify, at their seed and path counts
+        est = estimate_ue(model, dynamic, t, McConfig(n_paths=n_paths, seed=20260810))
+        assert abs(est.bias) <= 1e-6 * abs(est.mean)
+        assert (est.cutoff > 0.0) == (not model.stable_indices)
 
     def test_event_cap_raises(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_EVENT_CAP", 64)
@@ -510,6 +578,31 @@ class TestEstimate:
 
         with pytest.raises(UnsupportedModelError):
             estimate_ue(Frozen(), Exponential(1.0), 1.0, McConfig(n_paths=1000, seed=0))
+
+    def test_kernel_without_small_jump_exponent_is_unsupported(self, monkeypatch):
+        # a kernel alone does not tell what truncating it costs: refused before
+        # any process is built or drawn
+        class KernelOnly(SubordinatorModel):
+            def __init__(self):
+                self._inner = DistributedOrderSubordinator()
+
+            def kernel_transform(self, lam):
+                return self._inner.kernel_transform(lam)
+
+            def kernel(self, t):
+                return self._inner.kernel(t)
+
+            def kernel_integral(self, t):
+                return self._inner.kernel_integral(t)
+
+        def never(*args):
+            raise AssertionError("a process was built")
+
+        monkeypatch.setattr(montecarlo, "_CompoundPoisson", never)
+        with pytest.raises(UnsupportedModelError, match="small-jump"):
+            estimate_ue(KernelOnly(), Exponential(1.0), 1.0, McConfig(n_paths=1000, seed=0))
+        with pytest.raises(UnsupportedModelError, match="small-jump"):
+            first_passage(KernelOnly(), 1.0, np.random.default_rng(0))
 
     def test_unsupported_model(self):
         with pytest.raises(UnsupportedModelError):

@@ -19,7 +19,7 @@ from fractime import (
     solve_relaxation,
     subordinated_value,
 )
-from fractime.relaxation import _BLOCK, _MAX_STEPS, _scheme_arrays
+from fractime.relaxation import _BLOCK, _MAX_STEPS, _fast_len, _scheme_arrays
 
 
 def forward_substitution(prob):
@@ -191,6 +191,13 @@ def test_blocked_solve_matches_forward_substitution(model, steps):
             assert sol.values.size == steps + 1
             assert np.max(np.abs(sol.values - forward_substitution(prob))) <= 1e-12
             assert residual_check(sol, prob) <= 1e-12
+
+
+def test_fast_len_is_the_next_5_smooth_length():
+    from scipy.fft import next_fast_len
+
+    assert [_fast_len(n) for n in range(1, 20_001)] == [
+        next_fast_len(n, real=True) for n in range(1, 20_001)]
 
 
 def test_scheme_arrays_are_cached_read_only():

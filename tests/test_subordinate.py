@@ -279,6 +279,20 @@ class TestDoubleTransform:
     def test_residual_small(self):
         assert double_transform_residual(0.5, 1.0, 1.0) <= 1e-4
 
+    def test_gauss_jacobi_head_matches_scipy(self):
+        # Golub-Welsch against scipy's Gauss-Jacobi rule; the smallest weights
+        # agree to roundoff of the weight's total mass 2^(b+1)/(b+1)
+        from scipy.special import roots_jacobi
+        from fractime.subordinate import _OUTER_ORDER, _gauss_jacobi_head
+
+        for alpha in np.linspace(0.05, 0.95, 19):
+            b = 1.0 / alpha - 1.0
+            nodes, weights = _gauss_jacobi_head(b)
+            want_nodes, want_weights = roots_jacobi(_OUTER_ORDER, 0.0, b)
+            assert np.max(np.abs(nodes - want_nodes)) <= 2e-15
+            mass = 2.0 ** (b + 1.0) / (b + 1.0)
+            np.testing.assert_allclose(weights, want_weights, rtol=5e-13, atol=1e-15 * mass)
+
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
     @pytest.mark.parametrize("p,lam", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.5)])
     def test_fixed_outer_rule_matches_tanh_sinh(self, alpha, p, lam):
