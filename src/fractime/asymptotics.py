@@ -56,9 +56,10 @@ def cesaro_mean(
     t: float,
     cfg: InversionConfig | None = None,
 ) -> float:
-    """Running time-average of the subordinated dynamic at a finite time t > 0."""
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"cesaro_mean requires a finite t > 0, got {t}")
+    """Running time-average of the subordinated dynamic at a finite time t > 0.
+
+    The inversion refuses any other t with ConfigError.
+    """
     running = invert(
         lambda lam: subordinated_transform(model, dynamic, lam) / lam, t, cfg
     )

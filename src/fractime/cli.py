@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -237,7 +237,7 @@ def _cmd_mc(args):
     if args.out:
         table = GridFunction(np.array([args.t]), np.array([est.mean]))
         _write_csv(args.out, manifest, table, errors=[est.std_error])
-    _emit(args, manifest, {"mean": est.mean, "std_error": est.std_error, "n": est.n})
+    _emit(args, manifest, asdict(est))
     if not args.json:
         print(f"{est.mean!r} +- {est.std_error!r} (n={est.n})")
     return 0

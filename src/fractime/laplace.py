@@ -73,8 +73,9 @@ class InversionConfig:
                 )
 
 
-def gaver_stehfest_config(terms: int = 16) -> InversionConfig:
-    return InversionConfig(method=GAVER_STEHFEST, terms=terms)
+def gaver_stehfest_config() -> InversionConfig:
+    """The 16-term Gaver-Stehfest configuration."""
+    return InversionConfig(method=GAVER_STEHFEST, terms=16)
 
 
 @lru_cache(maxsize=8)

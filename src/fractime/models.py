@@ -416,6 +416,11 @@ class ParametricLogSubordinator(SubordinatorModel):
     transform finite and positive on (0, inf) without changing the
     small-frequency behavior.  No kernel or Levy density is exposed, so the
     model is usable on transform-side routes only.
+
+    For larger s, K is not the transform of a nonnegative kernel at all: at
+    scale 1 and s >~ 1.6, u^E of exp:1 turns negative (-7.6e-3 at s = 1.75,
+    -2.5e-2 at s = 2), which no time change of a positive dynamic can give.
+    Such s is accepted all the same, since no proven bound on s exists yet.
     """
 
     s: float

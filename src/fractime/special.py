@@ -11,14 +11,14 @@ Everything here is an evaluation of one of three entire/analytic families:
 Accuracy targets: gamma 1e-13 relative; mittag_leffler 1e-10 relative on the
 parameter band the toolkit exercises (a in [0.3, 0.7], x <= 1e6); wright is
 summed in adaptive-precision arithmetic and is exact to double roundoff
-whenever it converges within its term budget.
+whenever it converges within its fixed budget of 400 nonzero terms.
 
-mittag_leffler has three routes, all in double precision: the power series
-where its cancellation costs at most 2.5 digits, the divergent tail expansion
-for large x, and a Talbot contour integral everywhere else.  Only the Wright
-series needs adaptive precision; its z-independent coefficients
-1/Gamma(mu n + nu) are computed once per (index, precision) and cached, so a
-density table of many arguments pays for them once.
+mittag_leffler has three routes, all in double precision, split at the two
+thresholds of ``MLRegime``: the power series for x <= 1, a 24-term Talbot
+contour integral for 1 < x < 50 and the divergent tail expansion from 50 on.
+Only the Wright series needs adaptive precision; its z-independent
+coefficients 1/Gamma(mu n + nu) are computed once per (index, precision) and
+cached, so a density table of many arguments pays for them once.
 """
 
 from __future__ import annotations
@@ -63,13 +63,14 @@ def gamma_fn(x: float) -> float:
 class MLRegime:
     """The switchover points of E_a(-x) evaluation.
 
-    The series is used up to series_radius (where double precision allows),
-    the divergent tail expansion from asymptotic_threshold on, and a Talbot
-    contour integral of l^(a-1)/(l^a + x) everywhere else.  mittag_leffler
-    uses the default instance.
+    The series is used up to series_radius, where no term exceeds
+    1/min Gamma ~ 1.13 and so cancellation costs no digits, the divergent
+    tail expansion from asymptotic_threshold on, and a Talbot contour
+    integral of l^(a-1)/(l^a + x) in between.  mittag_leffler uses the default
+    instance.
     """
 
-    series_radius: float = 5.0
+    series_radius: float = 1.0
     asymptotic_threshold: float = 50.0
 
     def __post_init__(self):
@@ -81,17 +82,6 @@ _REGIME = MLRegime()
 # 24-term contour: truncation ~1e-12 and roundoff amplification e^(0.4*24)*eps
 # ~3e-12; larger term counts lose more to roundoff than they gain.
 _ML_TALBOT = InversionConfig(method="talbot", terms=24)
-
-
-def _ml_digits_lost(alpha: float, x: float) -> float:
-    """Decimal digits the double series loses to cancellation near its peak term."""
-    if x <= 1.0:
-        return 0.0
-    n_peak = max(1, int(round(x ** (1.0 / alpha) / alpha)))
-    worst = 0.0
-    for n in {max(1, n_peak // 2), n_peak, 2 * n_peak}:
-        worst = max(worst, (n * math.log(x) - math.lgamma(alpha * n + 1.0)) / _LOG10)
-    return worst
 
 
 def _ml_series_double(alpha: float, x: float) -> float:
@@ -132,11 +122,9 @@ def mittag_leffler(alpha: float, x: float) -> float:
     Value lies in (0, 1] and decreases strictly in x.  Three routes, split
     at the thresholds of ``MLRegime()``:
 
-    * the compensated power series, up to ``series_radius`` and only where
-      cancellation costs it at most 2.5 digits;
-    * the divergent tail expansion from ``asymptotic_threshold`` on;
-    * Talbot inversion of l^(a-1)/(l^a + x) everywhere else, including the
-      part of the series band the double series cannot reach.
+    * the compensated power series for x <= ``series_radius`` (1);
+    * Talbot inversion of l^(a-1)/(l^a + x) for x between the thresholds;
+    * the divergent tail expansion from ``asymptotic_threshold`` (50) on.
     """
     alpha = float(alpha)
     x = float(x)
@@ -150,7 +138,7 @@ def mittag_leffler(alpha: float, x: float) -> float:
         return math.exp(-x)
     if x >= _REGIME.asymptotic_threshold:
         return _ml_asymptotic(alpha, x)
-    if x <= _REGIME.series_radius and _ml_digits_lost(alpha, x) <= 2.5:
+    if x <= _REGIME.series_radius:
         return _ml_series_double(alpha, x)
     return talbot_invert(
         lambda lam: lam ** (alpha - 1.0) / (lam ** alpha + x), 1.0, _ML_TALBOT
@@ -203,58 +191,53 @@ def _nonzero_terms(mu: float, nu: float, n_last: int) -> int:
     return count
 
 
-def _half_gaussian(z: float) -> float:
-    return math.exp(-z * z / 4.0) / math.sqrt(math.pi)
+# Nonzero terms within which the Wright series must peak and start decaying:
+# at the density table's 1e-12 cutoff 200 runs out near alpha 0.9
+_WRIGHT_BUDGET = 400
+_WRIGHT_HARD_CAP = 8 * _WRIGHT_BUDGET  # nonzero terms a pass may sum in all
 
 
-def wright(mu: float, nu: float, z: float, budget: int = 200) -> float:
+def wright(mu: float, nu: float, z: float) -> float:
     """Wright function W_{mu,nu}(z) = sum_n z^n / (n! Gamma(mu n + nu)).
 
     Restricted to -1 < mu < 0 and z <= 0 (the inverse-subordinator density
     slice).  Terms whose gamma argument hits a pole are exactly zero and do
     not count against the budget.  The term magnitudes must peak and start
-    decaying within ``budget`` nonzero terms, otherwise ConvergenceError is
+    decaying within 400 nonzero terms, otherwise ConvergenceError is
     raised; established decay is then summed to convergence.  For the
     density pair (mu, nu) = (-1/2, 1/2) the exact Gaussian closed form is
-    used beyond |z| = 30 (and as fallback where the budget would fail),
-    where the series cancellation is hopeless.
+    used beyond |z| = 30, where the series cancellation is hopeless.
 
     Pure: values are not memoized (the quadrature route caches its density
     panels instead).  The coefficients 1/Gamma(mu n + nu) are cached per
     (mu, nu, precision) and shared by every z, so a value never depends on
     what was evaluated before it.
     """
-    mu, nu, z, budget = float(mu), float(nu), float(z), int(budget)
+    mu, nu, z = float(mu), float(nu), float(z)
     if not (-1.0 < mu < 0.0):
         raise DomainError(f"wright requires -1 < mu < 0, got {mu}")
     if not (-math.inf < z <= 0.0):
         raise DomainError(f"wright requires a finite z <= 0, got {z}")
     if not math.isfinite(nu):
         raise DomainError(f"wright requires a finite nu, got {nu}")
-    if budget < 8:
-        raise ConfigError("wright term budget too small")
     if z == 0.0:
         return float(_rgamma(nu))
-    is_density_pair = mu == -0.5 and nu == 0.5
-    if is_density_pair and z < -30.0:
-        return _half_gaussian(z)
+    if mu == -0.5 and nu == 0.5 and z < -30.0:
+        return math.exp(-z * z / 4.0) / math.sqrt(math.pi)
 
-    hard_cap = 8 * budget
-    peak10, n_peak = _wright_peak(mu, nu, z, 4 * hard_cap)
+    peak10, n_peak = _wright_peak(mu, nu, z, 4 * _WRIGHT_HARD_CAP)
     dps = int(30 + max(0.0, peak10))
     # A pass cannot see decay before the peak, so with budget nonzero terms
     # up to it the pass is bound to fail; skip its high-precision sum.
-    ok = n_peak + 1 < budget or _nonzero_terms(mu, nu, n_peak) < budget
+    ok = n_peak + 1 < _WRIGHT_BUDGET or _nonzero_terms(mu, nu, n_peak) < _WRIGHT_BUDGET
     # Retry with more digits when the sum lands near the roundoff floor
     # (result many orders below the largest term).
     for _ in range(4):
         if ok:
-            result, ok = _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap)
+            result, ok = _wright_sum(mu, nu, z, n_peak, peak10, dps)
         if not ok:
-            if is_density_pair:
-                return _half_gaussian(z)
             raise ConvergenceError(
-                f"wright series failed to decay within {budget} nonzero terms "
+                f"wright series failed to decay within {_WRIGHT_BUDGET} nonzero terms "
                 f"(mu={mu}, nu={nu}, z={z})"
             )
         if result is not None:
@@ -274,7 +257,7 @@ def _rgamma_series(a: float, b: float, dps: int) -> list:
     return []
 
 
-def _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap):
+def _wright_sum(mu, nu, z, n_peak, peak10, dps):
     """One fixed-precision pass.  Returns (value | None, decayed_ok)."""
     with _MP_LOCK, mp.workdps(dps):
         mz, mmu, mnu = mp.mpf(z), mp.mpf(mu), mp.mpf(nu)
@@ -297,7 +280,7 @@ def _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap):
                 peak = max(peak, mag)
                 if n > n_peak and mag <= peak * decay_mark:
                     decayed = True
-                if not decayed and nonzero >= budget:
+                if not decayed and nonzero >= _WRIGHT_BUDGET:
                     return None, False
                 if n > n_peak and mag <= abs(total) * noise_floor:
                     small_run += 1
@@ -310,7 +293,7 @@ def _wright_sum(mu, nu, z, n_peak, peak10, dps, budget, hard_cap):
                     small_run = 0
             zpow = zpow * mz / (n + 1)
             n += 1
-            if nonzero > hard_cap:
+            if nonzero > _WRIGHT_HARD_CAP:
                 return None, False
 
 

@@ -4,10 +4,11 @@ The workhorse route goes through the t-Laplace transform of u^E, which for
 a kernel transform K and a dynamic with Laplace transform w reads
 K(l) * w(l K(l)); it is inverted numerically and works for every model,
 including the log-kernel families for which no density formula exists.
-For stable models two independent routes exist besides: the closed forms
-(monomials and the Mittag-Leffler relaxation) and quadrature: a dot product
-of the dynamic with a table of Wright-density weights per index, assembled
-from cached panels.
+subordinated_value and subordinated_curve take this route.  For a stable
+index alpha two independent routes exist besides, each a function of
+(alpha, dynamic, t): stable_closed_form (monomials and the Mittag-Leffler
+relaxation) and stable_quadrature, a dot product of the dynamic with a
+table of Wright-density weights per index, assembled from cached panels.
 """
 
 from __future__ import annotations
@@ -33,19 +34,14 @@ from .models import (
 )
 from .special import density_tail_cutoff, gamma_fn, inverse_stable_moment, mittag_leffler, wright
 
-TRANSFORM_ROUTE = "transform"
-CLOSED_FORM_ROUTE = "closed-form"
-QUADRATURE_ROUTE = "quadrature"
-
 
 @dataclass(frozen=True)
 class SubordinatedCurve:
-    """Samples of u^E over a grid, tagged with the route that produced them."""
+    """Samples of u^E over a grid, by transform inversion."""
 
     model: SubordinatorModel
     dynamic: Dynamic
     samples: GridFunction
-    route: str
 
 
 def subordinated_transform(model: SubordinatorModel, dynamic: Dynamic, lam):
@@ -87,30 +83,10 @@ def subordinated_curve(
     dynamic: Dynamic,
     grid: Sequence[float],
     cfg: InversionConfig | None = None,
-    route: str = TRANSFORM_ROUTE,
 ) -> SubordinatedCurve:
-    """Sample u^E over a grid by the chosen route.
-
-    The transform route works for every model; the closed-form and
-    quadrature routes need a model with a single stable index and ignore cfg.
-    An unknown route raises DomainError whatever the model.
-    """
-    if route == TRANSFORM_ROUTE:
-        samples = invert_on_grid(
-            lambda lam: subordinated_transform(model, dynamic, lam), grid, cfg
-        )
-        return SubordinatedCurve(model, dynamic, samples, route)
-    routes = {CLOSED_FORM_ROUTE: stable_closed_form, QUADRATURE_ROUTE: stable_quadrature}
-    if route not in routes:
-        raise DomainError(f"unknown route {route!r}")
-    if len(model.stable_indices) != 1:
-        raise UnsupportedDynamicError(
-            f"route {route!r} needs a stable model; {type(model).__name__} has no density"
-        )
-    (alpha,) = model.stable_indices
-    ts = np.asarray(grid, dtype=float)
-    vals = [routes[route](alpha, dynamic, float(t)) for t in ts]
-    return SubordinatedCurve(model, dynamic, GridFunction(ts, np.array(vals)), route)
+    """Sample u^E over a grid by transform inversion, one inversion per t."""
+    samples = invert_on_grid(lambda lam: subordinated_transform(model, dynamic, lam), grid, cfg)
+    return SubordinatedCurve(model, dynamic, samples)
 
 
 def stable_closed_form(alpha: float, dynamic: Dynamic, t: float) -> float:
@@ -266,8 +242,7 @@ def _panel(alpha: float, k: int, is_head: bool):
     hi = math.ldexp(density_tail_cutoff(alpha, 1.0, _TABLE_FLOOR), k)
     lo = 0.0 if is_head else 0.5 * hi
     nodes = 0.5 * (hi - lo) * (_GAUSS[0] + 1.0) + lo
-    # budget 400: at the 1e-12 cutoff the default 200 runs out near alpha 0.9
-    dens = np.array([wright(-alpha, 1.0 - alpha, -v, budget=400) for v in nodes])
+    dens = np.array([wright(-alpha, 1.0 - alpha, -v) for v in nodes])
     return nodes, 0.5 * (hi - lo) * _GAUSS[1] * dens
 
 

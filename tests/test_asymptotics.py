@@ -42,7 +42,7 @@ class TestCesaroMean:
         assert m1 / m2 == pytest.approx(10.0, rel=0.05)
 
     def test_requires_positive_time(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             cesaro_mean(StableSubordinator(0.5), Monomial(1), 0.0)
 
     @pytest.mark.parametrize("t", [10.0, 100.0])

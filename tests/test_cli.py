@@ -79,6 +79,14 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("command", ["subordinate", "cesaro"])
+def test_time_outside_zero_to_infinity_exit_code(capsys, command):
+    code, _, err = run_cli(command, "--model", "stable", "--alpha", "0.5",
+                           "--dynamic", "mono:1", "--t", "-1", capsys=capsys)
+    assert code == 1
+    assert "usage error" in err
+
+
 def test_bad_model_parameter_exit_code(capsys):
     # out-of-domain parameter values are invocation errors
     code, _, err = run_cli("subordinate", "--model", "stable", "--alpha", "1.5",
@@ -115,7 +123,7 @@ def test_json_summary(capsys):
     payload = json.loads(out)
     assert payload["command"] == "mc"
     assert payload["manifest"]["seed"] == 7
-    assert set(payload["results"]) == {"mean", "std_error", "n"}
+    assert set(payload["results"]) == {"mean", "std_error", "n", "ess", "cutoff", "bias"}
 
 
 def test_csv_round_trip(tmp_path, capsys):

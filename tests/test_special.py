@@ -62,14 +62,15 @@ class TestMittagLeffler:
         # frozen from the series oracle; equals e * erfc(1)
         assert mittag_leffler(0.5, 1.0) == pytest.approx(0.4275835761558070, rel=1e-12)
 
-    # past x = 1 most inputs lie where the double series would lose more than
-    # 2.5 digits, so the contour serves them inside the series band
+    # points within reach of the series oracle: the double series serves
+    # x <= 1, and the contour the rest, down to just above 1
     SERIES_BAND = {
         0.1: (0.01, 0.3, 1.0, 1.3),
         0.2: (0.01, 0.3, 1.0, 1.8, 2.0),
         0.3: (0.01, 0.3, 1.0, 2.7, 3.5, 4.9),
         0.5: (0.01, 0.3, 1.0, 2.7, 3.5, 4.9),
         0.7: (0.01, 0.3, 1.0, 2.7, 4.9),
+        0.99: (0.01, 0.3, 1.0, 1.01, 2.7, 4.8),
     }
 
     @pytest.mark.parametrize("alpha", sorted(SERIES_BAND))
@@ -121,6 +122,28 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mittag_leffler(0.5, -1.0)
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_contour_taken_exactly_between_thresholds(self, alpha, monkeypatch):
+        # the contour is the one route that calls talbot_invert
+        from fractime import special
+
+        contour = special.talbot_invert
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return contour(*args)
+
+        monkeypatch.setattr(special, "talbot_invert", counting)
+        regime = MLRegime()
+        edges = [regime.series_radius, np.nextafter(regime.series_radius, 2.0),
+                 regime.asymptotic_threshold]
+        for x in np.concatenate([np.logspace(-3, 3, 121), edges]):
+            before = len(calls)
+            mittag_leffler(alpha, float(x))
+            took_contour = len(calls) > before
+            assert took_contour == (regime.series_radius < x < regime.asymptotic_threshold), x
+
     def test_regime_validation(self):
         with pytest.raises(Exception):
             MLRegime(series_radius=60.0, asymptotic_threshold=50.0)
@@ -143,9 +166,16 @@ class TestWright:
         ref = math.exp(-35.0 ** 2 / 4.0) / math.sqrt(math.pi)
         assert wright(-0.5, 0.5, -35.0) == pytest.approx(ref, rel=1e-13)
 
-    @pytest.mark.parametrize("mu,nu", [(-0.4, 0.6), (-0.6, 0.4), (-0.3, 0.7)])
-    def test_general_orders_against_oracle(self, mu, nu):
-        for z in (-0.5, -3.0, -8.0):
+    @pytest.mark.parametrize("mu,nu,zs", [
+        (-0.4, 0.6, (-0.5, -3.0, -8.0)),
+        (-0.6, 0.4, (-0.5, -3.0, -8.0, -10.0)),
+        (-0.3, 0.7, (-0.5, -3.0, -8.0)),
+        # the density slice near alpha 0.9 needs more than 200 nonzero terms
+        # before its terms decay
+        (-0.85, 0.15, (-2.7,)),
+    ])
+    def test_general_orders_against_oracle(self, mu, nu, zs):
+        for z in zs:
             ref = wright_series_oracle(mu, nu, z)
             assert wright(mu, nu, z) == pytest.approx(ref, rel=1e-11)
 
@@ -153,12 +183,6 @@ class TestWright:
         # peak index far beyond the budget: decay cannot be established
         with pytest.raises(ConvergenceError):
             wright(-0.3, 0.7, -100.0)
-
-    def test_budget_extends_convergence(self):
-        ref = wright_series_oracle(-0.6, 0.4, -10.0, dps=200)
-        with pytest.raises(ConvergenceError):
-            wright(-0.6, 0.4, -10.0, budget=60)
-        assert wright(-0.6, 0.4, -10.0, budget=400) == pytest.approx(ref, rel=1e-10)
 
     def test_hopeless_series_fails_without_a_high_precision_pass(self, monkeypatch):
         # the double-precision scan already shows 400 nonzero terms before the
@@ -170,14 +194,14 @@ class TestWright:
 
         monkeypatch.setattr(special, "_wright_sum", no_pass)
         with pytest.raises(ConvergenceError):
-            wright(-0.74, 0.26, -16.8, budget=400)
-        ref = math.exp(-24.5 ** 2 / 4.0) / math.sqrt(math.pi)
-        assert wright(-0.5, 0.5, -24.5, budget=9) == ref
+            wright(-0.74, 0.26, -16.8)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.42, 0.74, 0.92])
     def test_early_failure_spares_base_table_nodes(self, alpha):
         # every node of the base density table (panels -11..0) still gets its pass
-        from fractime.special import _nonzero_terms, _wright_peak
+        from fractime.special import (
+            _WRIGHT_BUDGET, _WRIGHT_HARD_CAP, _nonzero_terms, _wright_peak,
+        )
 
         gauss = np.polynomial.legendre.leggauss(32)[0] + 1.0
         cutoff = density_tail_cutoff(alpha, 1.0, 1e-12)
@@ -186,9 +210,9 @@ class TestWright:
             hi = math.ldexp(cutoff, k)
             nodes += [0.25 * hi * x + 0.5 * hi for x in gauss]
         for v in nodes:
-            # scan length as wright uses it at budget 400: 4 * (8 * budget)
-            _, n_peak = _wright_peak(-alpha, 1.0 - alpha, -v, 4 * 8 * 400)
-            assert _nonzero_terms(-alpha, 1.0 - alpha, n_peak) < 400
+            # the scan length wright uses
+            _, n_peak = _wright_peak(-alpha, 1.0 - alpha, -v, 4 * _WRIGHT_HARD_CAP)
+            assert _nonzero_terms(-alpha, 1.0 - alpha, n_peak) < _WRIGHT_BUDGET
 
     def test_peak_scan_sees_every_pole(self):
         # 1/Gamma vanishes at every nonpositive integer, where sin(pi k) in
@@ -296,7 +320,7 @@ def test_values_independent_of_cache_state():
         nodes += [0.25 * hi * x + 0.5 * hi for x in gauss]
 
     def density(v):
-        return wright(-alpha, 1.0 - alpha, -float(v), budget=400)
+        return wright(-alpha, 1.0 - alpha, -float(v))
 
     def fresh(evaluate):
         _rgamma_series.cache_clear()
