@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -59,7 +59,6 @@ def _add_model_flags(p):
 
 def _add_method_flags(p):
     p.add_argument("--method", choices=["talbot", "gs"], default="talbot")
-    p.add_argument("--terms", type=int, default=None)
 
 
 def _add_json_flag(p):
@@ -81,8 +80,7 @@ def _model_from_args(args):
 
 
 def _inversion_config(args) -> InversionConfig:
-    cfg = gaver_stehfest_config() if args.method == "gs" else InversionConfig()
-    return cfg if args.terms is None else replace(cfg, terms=args.terms)
+    return gaver_stehfest_config() if args.method == "gs" else InversionConfig()
 
 
 def _grid_from_args(text: str) -> np.ndarray:
@@ -99,7 +97,7 @@ def _manifest(args, command, extra=None):
         "version": __version__,
     }
     for key in ("model", "alpha", "beta", "s", "scale", "dynamic", "grid", "t",
-                "method", "terms", "seed", "paths", "workers", "a", "h", "horizon",
+                "method", "seed", "paths", "workers", "a", "h", "horizon",
                 "suite", "x", "mu", "nu", "z"):
         val = getattr(args, key, None)
         if val is not None:
@@ -163,8 +161,11 @@ _TEST_TRANSFORMS = {
 def _cmd_invert(args):
     name = args.transform
     if name.startswith("decay:"):
-        rate = float(name.split(":", 1)[1])
-        transform = lambda l: 1.0 / (l + rate)  # noqa: E731
+        try:
+            transform = parse_dynamic("exp:" + name.removeprefix("decay:")).transform
+        except ConfigError as exc:
+            raise _UsageError(f"bad --transform {name!r}: the decay rate must be a positive "
+                              "finite number") from exc
     elif name in _TEST_TRANSFORMS:
         transform = _TEST_TRANSFORMS[name][0]
     else:

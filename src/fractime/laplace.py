@@ -1,15 +1,19 @@
 """Numerical inversion of Laplace transforms.
 
-Two independent methods are provided and cross-checked in the test suite:
+Two independent fixed rules are provided and cross-checked in the test
+suite; for both the node count is part of the rule, not a setting:
 
-* fixed-contour Talbot summation, which evaluates the transform at complex
-  points on a deformed Bromwich contour and is accurate to ~1e-11 relative
-  for transforms analytic off the negative real axis;
-* Gaver-Stehfest (Salzer) summation, which needs only real evaluations of
-  the transform and reaches ~1e-6..1e-7 relative in double precision.
+* fixed-contour Talbot summation on 32 complex points of a deformed
+  Bromwich contour, accurate to ~1e-11 relative for transforms analytic
+  off the negative real axis (the Mittag-Leffler contour in ``special``
+  takes 24);
+* Gaver-Stehfest (Salzer) summation on 16 real points, which needs only
+  real evaluations of the transform and reaches ~1e-6..1e-7 relative in
+  double precision.
 
 Talbot is the workhorse; Gaver-Stehfest is retained as the independent
-real-axis cross-check.
+real-axis cross-check.  ``InversionConfig`` picks between them and holds
+nothing else.
 
 The transform contract: each inversion calls ``transform`` once, with the
 ndarray of all its nodes (complex contour points for Talbot, long-double
@@ -45,37 +49,23 @@ _LN2 = math.log(2.0)
 # Talbot contour base point r = _TALBOT_SHAPE * terms / t (the classic
 # fixed-Talbot rule)
 _TALBOT_SHAPE = 0.4
+_STEHFEST_TERMS = 16
 
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Method selection and term count for inversion.
-
-    Gaver-Stehfest term counts must be even and at most 18; beyond that the
-    Salzer weights (up to ~8e10 at 18 terms) amplify double-precision noise
-    past any truncation gain.
-    """
+    """The inversion method: Talbot (the default) or Gaver-Stehfest."""
 
     method: str = TALBOT
-    terms: int = 32
 
     def __post_init__(self):
         if self.method not in (TALBOT, GAVER_STEHFEST):
             raise ConfigError(f"unknown inversion method {self.method!r}")
-        if self.method == TALBOT:
-            if self.terms < 16:
-                raise ConfigError("talbot needs at least 16 terms")
-        else:
-            if self.terms % 2 != 0 or not (2 <= self.terms <= 18):
-                raise ConfigError(
-                    "gaver-stehfest terms must be even and <= 18 "
-                    "(weight overflow in double precision beyond that)"
-                )
 
 
 def gaver_stehfest_config() -> InversionConfig:
-    """The 16-term Gaver-Stehfest configuration."""
-    return InversionConfig(method=GAVER_STEHFEST, terms=16)
+    """The Gaver-Stehfest configuration (always 16 terms)."""
+    return InversionConfig(method=GAVER_STEHFEST)
 
 
 @lru_cache(maxsize=8)
@@ -93,8 +83,7 @@ def _talbot_nodes(terms: int):
     return path, sigma
 
 
-@lru_cache(maxsize=8)
-def _stehfest_weights(terms: int) -> np.ndarray:
+def _salzer_weights(terms: int) -> np.ndarray:
     """Salzer summation weights, computed in exact rational arithmetic.
 
     Held in extended precision: the weights reach ~4e9 at 16 terms and the
@@ -117,6 +106,9 @@ def _stehfest_weights(terms: int) -> np.ndarray:
         acc *= (-1) ** (k + half)
         weights.append(np.longdouble(acc.numerator) / np.longdouble(acc.denominator))
     return np.array(weights, dtype=np.longdouble)
+
+
+_STEHFEST_WEIGHTS = _salzer_weights(_STEHFEST_TERMS)
 
 
 def _require_time(t: float) -> None:
@@ -145,23 +137,21 @@ def _evaluate(transform, nodes: np.ndarray) -> np.ndarray:
 def talbot_invert(
     transform: Callable[[np.ndarray], np.ndarray],
     t: float,
-    cfg: InversionConfig | None = None,
+    terms: int = 32,
 ) -> float:
     """Invert a Laplace transform at time t on the fixed Talbot contour.
 
     transform is called once, with the complex array of the contour's
-    nodes.  It must be analytic in the right half-plane and along the
-    deformed contour (no poles or cuts crossed); this holds for every
-    transform built from the model kernel transforms here, whose only
-    singularities sit on the closed negative real axis.
+    ``terms`` nodes (at least 16).  It must be analytic in the right
+    half-plane and along the deformed contour (no poles or cuts crossed);
+    this holds for every transform built from the model kernel transforms
+    here, whose only singularities sit on the closed negative real axis.
     """
     _require_time(t)
-    cfg = cfg or InversionConfig()
-    if cfg.method != TALBOT:
-        raise ConfigError("talbot_invert called with a non-talbot config")
-    m = cfg.terms
-    r = _TALBOT_SHAPE * m / t
-    path, sigma = _talbot_nodes(m)
+    if terms < 16:
+        raise ConfigError("talbot needs at least 16 terms")
+    r = _TALBOT_SHAPE * terms / t
+    path, sigma = _talbot_nodes(terms)
     p = r * path
     fv = _evaluate(transform, p)
     bad = ~np.isfinite(fv)
@@ -169,45 +159,37 @@ def talbot_invert(
         raise InversionError(
             f"transform returned non-finite value at contour point {p[bad][0]!r}", t=t
         )
-    return float((r / m) * (np.exp(t * p) * sigma * fv).real.sum())
+    return float((r / terms) * (np.exp(t * p) * sigma * fv).real.sum())
 
 
 def gaver_stehfest_invert(
     transform: Callable[[np.ndarray], np.ndarray],
     t: float,
-    cfg: InversionConfig | None = None,
 ) -> float:
-    """Invert a Laplace transform at time t by Gaver-Stehfest summation.
+    """Invert a Laplace transform at time t by 16-term Gaver-Stehfest summation.
 
-    transform is called once, with the long-double array of the real
+    transform is called once, with the long-double array of the 16 real
     nodes.  Needs only real-axis evaluations; the inverse must be smooth
     near t.
     """
     _require_time(t)
-    cfg = cfg or gaver_stehfest_config()
-    if cfg.method != GAVER_STEHFEST:
-        raise ConfigError("gaver_stehfest_invert called with a non-gaver-stehfest config")
-    weights = _stehfest_weights(cfg.terms)
-    if not np.all(np.isfinite(weights)):
-        raise ConfigError("stehfest weights overflowed; reduce terms")
     # Extended-precision nodes flow through transforms built from numpy
     # math, keeping node roundoff out of the weight amplification;
     # transforms that compute in double degrade gracefully.
     scale = np.longdouble(_LN2) / np.longdouble(t)
-    nodes = scale * np.arange(1, cfg.terms + 1, dtype=np.longdouble)
+    nodes = scale * np.arange(1, _STEHFEST_TERMS + 1, dtype=np.longdouble)
     vals = _evaluate(transform, nodes)
     bad = ~np.isfinite(vals)
     if bad.any():
         raise InversionError(f"transform returned non-finite value at {nodes[bad][0]}", t=t)
-    return float(scale * np.dot(weights, vals))
+    return float(scale * np.dot(_STEHFEST_WEIGHTS, vals))
 
 
 def invert(transform, t: float, cfg: InversionConfig | None = None) -> float:
     """Dispatch on cfg.method."""
-    cfg = cfg or InversionConfig()
-    if cfg.method == TALBOT:
-        return talbot_invert(transform, t, cfg)
-    return gaver_stehfest_invert(transform, t, cfg)
+    if cfg is None or cfg.method == TALBOT:
+        return talbot_invert(transform, t)
+    return gaver_stehfest_invert(transform, t)
 
 
 def invert_on_grid(

@@ -10,8 +10,11 @@ Everything here is an evaluation of one of three entire/analytic families:
 
 Accuracy targets: gamma 1e-13 relative; mittag_leffler 1e-10 relative on the
 parameter band the toolkit exercises (a in [0.3, 0.7], x <= 1e6); wright is
-summed in adaptive-precision arithmetic and is exact to double roundoff
-whenever it converges within its fixed budget of 400 nonzero terms.
+summed in adaptive-precision arithmetic within a fixed budget of 400 nonzero
+terms, and a pass at dps digits accepts its sum once |sum| exceeds
+peak term * 10^-(dps-12), which leaves about 12 significant digits where the
+terms cancel: wright(-0.5, 0.5, -12.7), whose peak term is 1e16 and value
+1.7e-18, is 2.5e-13 relative from exp(-z^2/4)/sqrt(pi).
 
 mittag_leffler has three routes, all in double precision, split at the two
 thresholds of ``MLRegime``: the power series for x <= 1, a 24-term Talbot
@@ -33,7 +36,7 @@ from functools import lru_cache
 from scipy.special import gamma as _scipy_gamma, rgamma as _rgamma
 
 from .errors import ConfigError, ConvergenceError, DomainError, PoleError
-from .laplace import InversionConfig, talbot_invert
+from .laplace import talbot_invert
 
 _LOG10 = math.log(10.0)
 
@@ -79,9 +82,6 @@ class MLRegime:
 
 
 _REGIME = MLRegime()
-# 24-term contour: truncation ~1e-12 and roundoff amplification e^(0.4*24)*eps
-# ~3e-12; larger term counts lose more to roundoff than they gain.
-_ML_TALBOT = InversionConfig(method="talbot", terms=24)
 
 
 def _ml_series_double(alpha: float, x: float) -> float:
@@ -140,8 +140,11 @@ def mittag_leffler(alpha: float, x: float) -> float:
         return _ml_asymptotic(alpha, x)
     if x <= _REGIME.series_radius:
         return _ml_series_double(alpha, x)
+    # 24 terms, not the default 32: roundoff grows as e^(0.4 terms)*eps, so on
+    # x in (1, 50) the worst relative error against 40-digit references is
+    # 2.2e-12 at 24 terms and 1.3e-10 at 32 for a = 0.5 (3.1e-11, 1.6e-9 at 0.9).
     return talbot_invert(
-        lambda lam: lam ** (alpha - 1.0) / (lam ** alpha + x), 1.0, _ML_TALBOT
+        lambda lam: lam ** (alpha - 1.0) / (lam ** alpha + x), 1.0, 24
     )
 
 

@@ -65,7 +65,11 @@ def test_unknown_flag_exit_code(capsys):
     ("invert", "--t", "1", "--out", "x"),
     # C3 runs at its fixed index; no flag sets it
     ("verify", "--suite", "c2", "--alpha", "0.3"),
-], ids=["ml-out", "wright-out", "invert-out", "verify-alpha"])
+    # the inversion rules fix their node counts; no flag sets them
+    ("invert", "--t", "1", "--terms", "24"),
+    ("subordinate", "--model", "stable", "--alpha", "0.5", "--dynamic", "mono:1", "--t", "1",
+     "--terms", "20"),
+], ids=["ml-out", "wright-out", "invert-out", "verify-alpha", "invert-terms", "subordinate-terms"])
 def test_flag_the_subcommand_does_not_read_exit_code(capsys, argv):
     code, _, _ = run_cli(*argv, capsys=capsys)
     assert code == 1
@@ -99,7 +103,11 @@ def test_bad_model_parameter_exit_code(capsys):
     ("subordinate", "--model", "stable", "--alpha", "0.5", "--dynamic", "exp:1e400", "--t", "1"),
     # rejected before the solver allocates anything
     ("gfde", "--model", "stable", "--alpha", "0.5", "--h", "1e-9"),
-], ids=["c3-s-nan", "exp-inf", "gfde-steps"])
+    # a decay rate is an Exponential rate: positive and finite
+    ("invert", "--transform", "decay:abc", "--t", "1"),
+    ("invert", "--transform", "decay:-5", "--t", "10"),
+    ("invert", "--transform", "decay:inf", "--t", "1"),
+], ids=["c3-s-nan", "exp-inf", "gfde-steps", "decay-text", "decay-negative", "decay-inf"])
 def test_non_finite_or_oversized_parameter_exit_code(capsys, argv):
     code, _, err = run_cli(*argv, capsys=capsys)
     assert code == 1
