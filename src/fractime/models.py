@@ -3,8 +3,10 @@
 A model is a frozen dataclass whose fields are the parameters of an
 increasing Levy process.  Each family states its kernel transform K, the
 Laplace transform of the tail kernel of the Levy measure, and, where it has
-one, that kernel; the Laplace exponent l K(l) is derived from K once, in
-the common base.  The three kinds of family are distinguished by the
+one, that kernel and its convolution with the powers s^g; the cumulative
+kernel (g = 0) is derived once, in the common base.  The stable and
+two-stable models share one set of formulas, summed over their stable
+indices.  The three kinds of family are distinguished by the
 small-frequency behavior of K, which is what drives their long-time Cesaro
 rates:
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import reduce
+from operator import add
 from typing import Callable, Union
 
 import numpy as np
@@ -149,13 +153,20 @@ def _kernel_times(t, method: str, positive: bool = False) -> np.ndarray:
     return t
 
 
+def _check_conv_exponent(gamma) -> None:
+    """DomainError unless -1 < gamma < inf, where the convolution with s^gamma converges."""
+    if not -1.0 < gamma < math.inf:
+        raise DomainError(f"kernel_conv_power requires -1 < gamma < inf, got {gamma!r}")
+
+
 class SubordinatorModel:
     """Common surface of the subordinator families.
 
     Each family is a frozen dataclass whose fields are its parameters.  It
     states its kernel transform K (everywhere) and, where one is defined,
-    its time-domain kernel; the Laplace exponent l K(l), ``describe`` and the
-    repr, equality and hash are derived once, from K and from the fields.
+    its time-domain kernel k and the convolution of k with s^g; the
+    cumulative kernel (the convolution with s^0), ``describe`` and the repr,
+    equality and hash are derived once, from those and from the fields.
     Each model also states what its kernel allows, as class constants or as
     attributes set once from its parameters:
 
@@ -182,10 +193,6 @@ class SubordinatorModel:
     log_rate_scale = 0.0
 
     # -- transform side -----------------------------------------------------
-    def laplace_exponent(self, lam: Complex) -> Complex:
-        """Exponent l K(l) in E[exp(-l S(t))] = exp(-t * exponent(l)); Re l >= 0."""
-        return 0.0 if lam == 0 else lam * self.kernel_transform(lam)
-
     def kernel_transform(self, lam):
         """Laplace transform of the tail kernel, elementwise; Re l > 0.
 
@@ -199,11 +206,11 @@ class SubordinatorModel:
         raise UnsupportedModelError(f"{type(self).__name__} defines no kernel")
 
     def kernel_integral(self, t: float):
-        """Cumulative kernel integral over [0, t]."""
-        raise UnsupportedModelError(f"{type(self).__name__} defines no kernel")
+        """Cumulative kernel integral over [0, t]: the convolution with s^0."""
+        return self.kernel_conv_power(0.0, t)
 
     def kernel_conv_power(self, gamma: float, t: float):
-        """Convolution of the kernel with s^gamma over [0, t] (closed form)."""
+        """Convolution of the kernel with s^gamma over [0, t] (closed form); -1 < gamma < inf."""
         raise UnsupportedModelError(f"{type(self).__name__} defines no kernel")
 
     def small_jump_exponent(self, cutoff: float, lam):
@@ -244,23 +251,21 @@ class StableSubordinator(SubordinatorModel):
         vars(self).update(alpha=alpha, stable_indices=(alpha,), short_time_power=alpha,
                           power_index=alpha)
 
+    # Written for any sum of stables, in index order; TwoStableSubordinator binds them too.
     def kernel_transform(self, lam):
-        return _transform_nodes(lam) ** (self.alpha - 1.0)
+        z = _transform_nodes(lam)
+        return reduce(add, (z ** (a - 1.0) for a in self.stable_indices))
 
     def kernel(self, t):
         t = _kernel_times(t, "kernel", positive=True)
-        out = t ** (-self.alpha) * _rgamma(1.0 - self.alpha)
-        return float(out) if out.ndim == 0 else out
-
-    def kernel_integral(self, t):
-        t = _kernel_times(t, "kernel_integral")
-        out = t ** (1.0 - self.alpha) * _rgamma(2.0 - self.alpha)
+        out = reduce(add, (t ** (-a) * _rgamma(1.0 - a) for a in self.stable_indices))
         return float(out) if out.ndim == 0 else out
 
     def kernel_conv_power(self, gamma, t):
+        _check_conv_exponent(gamma)
         t = _kernel_times(t, "kernel_conv_power")
-        c = _gamma(1.0 + gamma) * _rgamma(2.0 + gamma - self.alpha)
-        out = c * t ** (1.0 + gamma - self.alpha)
+        out = reduce(add, (_gamma(1.0 + gamma) * _rgamma(2.0 + gamma - a) * t ** (1.0 + gamma - a)
+                           for a in self.stable_indices))
         return float(out) if out.ndim == 0 else out
 
 
@@ -282,24 +287,12 @@ class TwoStableSubordinator(SubordinatorModel):
         if not (0.0 < alpha < beta < 1.0):
             raise ConfigError(f"need 0 < alpha < beta < 1, got alpha={alpha}, beta={beta}")
         vars(self).update(alpha=alpha, beta=beta, stable_indices=(alpha, beta),
-                          short_time_power=beta, power_index=alpha,
-                          _parts=(StableSubordinator(alpha), StableSubordinator(beta)))
+                          short_time_power=beta, power_index=alpha)
 
-    def kernel_transform(self, lam):
-        a, b = self._parts
-        return a.kernel_transform(lam) + b.kernel_transform(lam)
-
-    def kernel(self, t):
-        a, b = self._parts
-        return a.kernel(t) + b.kernel(t)
-
-    def kernel_integral(self, t):
-        a, b = self._parts
-        return a.kernel_integral(t) + b.kernel_integral(t)
-
-    def kernel_conv_power(self, gamma, t):
-        a, b = self._parts
-        return a.kernel_conv_power(gamma, t) + b.kernel_conv_power(gamma, t)
+    # bound here rather than inherited: perfbench's tracer wraps each class's own methods
+    kernel_transform = StableSubordinator.kernel_transform
+    kernel = StableSubordinator.kernel
+    kernel_conv_power = StableSubordinator.kernel_conv_power
 
 
 # Gauss-Legendre rule on (0,1) for the distributed-order kernel integrals;
@@ -308,7 +301,6 @@ _GL_NODES, _GL_WEIGHTS = leggauss(96)
 _DO_NODES = 0.5 * (_GL_NODES + 1.0)
 _DO_WEIGHTS = 0.5 * _GL_WEIGHTS
 _DO_KERNEL_W = _DO_WEIGHTS * _rgamma(_DO_NODES)          # w_i / Gamma(a_i)
-_DO_CUM_W = _DO_WEIGHTS * _rgamma(1.0 + _DO_NODES)       # w_i / Gamma(1 + a_i)
 _DO_JUMP_W = _DO_WEIGHTS * (1.0 - _DO_NODES) * _rgamma(_DO_NODES)  # nu(dx) = sum x^(a_i-2) dx
 # |l| c beyond which the small-jump series is refused: summed in doubles, it
 # cancels by up to exp(|l| c) where Re l > 0
@@ -372,12 +364,8 @@ class DistributedOrderSubordinator(SubordinatorModel):
         out = _power_sum(t, _DO_NODES - 1.0, _DO_KERNEL_W)
         return float(out) if out.ndim == 0 else out
 
-    def kernel_integral(self, t):
-        t = _kernel_times(t, "kernel_integral")
-        out = _power_sum(t, _DO_NODES, _DO_CUM_W)
-        return float(out) if out.ndim == 0 else out
-
     def kernel_conv_power(self, gamma, t):
+        _check_conv_exponent(gamma)
         t = _kernel_times(t, "kernel_conv_power")
         w = _DO_WEIGHTS * _gamma(1.0 + gamma) * _rgamma(1.0 + gamma + _DO_NODES)
         out = _power_sum(t, gamma + _DO_NODES, w)
@@ -417,9 +405,9 @@ class ParametricLogSubordinator(SubordinatorModel):
     small-frequency behavior.  No kernel or Levy density is exposed, so the
     model is usable on transform-side routes only.
 
-    For larger s, K is not the transform of a nonnegative kernel at all: at
-    scale 1 and s >~ 1.6, u^E of exp:1 turns negative (-7.6e-3 at s = 1.75,
-    -2.5e-2 at s = 2), which no time change of a positive dynamic can give.
+    It is a subordinator only for s <~ 0.986: beyond, its Levy density
+    changes sign (near x = 3.1, for every scale, since the density scales
+    with it), and from s ~ 1.466 the tail kernel itself turns negative.
     Such s is accepted all the same, since no proven bound on s exists yet.
     """
 

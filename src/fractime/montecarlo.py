@@ -25,6 +25,7 @@ chunk and CPU counts).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +46,9 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n_paths", "seed", "workers"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_paths < 100:
             raise ConfigError("n_paths must be at least 100")
         if not (0 <= self.seed < 2 ** 64):

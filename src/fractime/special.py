@@ -53,6 +53,8 @@ def gamma_fn(x: float) -> float:
     pole check).
     """
     x = float(x)
+    if not -math.inf < x <= math.inf:     # NaN fails the comparison too
+        raise DomainError(f"gamma_fn requires a real x > -inf, got {x}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at {x}")
     return float(_scipy_gamma(x))
@@ -130,7 +132,7 @@ def mittag_leffler(alpha: float, x: float) -> float:
     x = float(x)
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"mittag_leffler requires 0 < alpha <= 1, got {alpha}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"mittag_leffler requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0
@@ -357,7 +359,7 @@ def density_tail_cutoff(alpha: float, t: float, floor: float = 1e-10) -> float:
     Uses |W_{-a,1-a}(-u)| <~ exp(-c u^(1/(1-a))) with c = (1-a) a^(a/(1-a)),
     the generalization of the a=1/2 Gaussian tail.
     """
-    if not (0.0 < alpha < 1.0) or t <= 0.0 or not (0.0 < floor < 1.0):
+    if not (0.0 < alpha < 1.0 and t > 0.0 and 0.0 < floor < 1.0):
         raise DomainError("bad arguments for density_tail_cutoff")
     c = (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
     u = (-math.log(floor) / c) ** (1.0 - alpha)

@@ -1,5 +1,6 @@
 """Model surface: exponents, kernel transforms, kernels, rate predictions."""
 
+import cmath
 import math
 import warnings
 from dataclasses import FrozenInstanceError
@@ -25,7 +26,7 @@ from fractime import (
     model_from_config,
     parse_dynamic,
 )
-from fractime.models import _DO_CUM_W, _DO_KERNEL_W, _DO_NODES, _DO_WEIGHTS
+from fractime.models import _DO_KERNEL_W, _DO_NODES, _DO_WEIGHTS
 
 ALL_MODELS = [
     StableSubordinator(0.3),
@@ -51,28 +52,33 @@ def written_exponent(model, lam):
     return model.scale * (1.0 + math.log1p(1.0 / lam)) ** (-1.0 - model.s)
 
 
+def exponent_of(model, lam):
+    """The Laplace exponent l K(l), from the model's kernel transform."""
+    return lam * model.kernel_transform(lam)
+
+
 class TestLaplaceExponent:
     def test_stable_values(self):
-        assert StableSubordinator(0.5).laplace_exponent(4.0) == pytest.approx(2.0, rel=1e-14)
+        assert exponent_of(StableSubordinator(0.5), 4.0) == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_zero_limit(self, alpha):
-        assert StableSubordinator(alpha).laplace_exponent(0.0) == 0.0
+        # l K(l) = l^alpha falls to 0 with l
+        assert 0.0 < exponent_of(StableSubordinator(alpha), 1e-300) < 1e-89
 
     def test_two_stable_at_one(self):
-        assert TwoStableSubordinator(0.5, 0.75).laplace_exponent(1.0) == pytest.approx(2.0)
+        assert exponent_of(TwoStableSubordinator(0.5, 0.75), 1.0) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
     def test_zero_and_monotone(self, model):
-        assert model.laplace_exponent(0.0) == 0.0
-        vals = np.array([model.laplace_exponent(float(l)) for l in PROBE])
+        vals = np.array([exponent_of(model, float(l)) for l in PROBE])
         assert np.all(np.diff(vals) > 0.0)
         assert np.all(vals >= 0.0)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
     def test_negative_real_axis_rejected(self, model):
         with pytest.raises(DomainError):
-            model.laplace_exponent(-1.0)
+            exponent_of(model, -1.0)
 
 
 class TestKernelTransform:
@@ -187,6 +193,44 @@ class TestKernel:
             with pytest.raises(DomainError):
                 call(*args)
 
+    @pytest.mark.parametrize(
+        "model",
+        [StableSubordinator(0.5), TwoStableSubordinator(0.3, 0.6), DistributedOrderSubordinator()],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("gamma", [-1.0, -1.5, -2.0, -math.inf, math.inf, math.nan])
+    def test_conv_power_refuses_divergent_exponents(self, model, gamma):
+        # int_0^t k(t - s) s^gamma ds diverges for gamma <= -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                model.kernel_conv_power(gamma, 2.0)
+
+    @given(indices=st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2, unique=True),
+           log_ts=st.lists(st.floats(-6.0, 12.0), min_size=2, max_size=2),
+           log_lam=st.floats(-8.0, 8.0), angle=st.floats(-3.1, 3.1), gamma=st.floats(-0.9, 1.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_two_stable_is_the_sum_of_its_stables(self, indices, log_ts, log_lam, angle, gamma):
+        # alpha, beta near 0 and 1, t from 1e-6 to 1e12, lam real and complex
+        # off the cut: the two-stable kernel surface equals the sum of its
+        # parts bit for bit, is finite and positive, and k is nonincreasing
+        alpha, beta = sorted(indices)
+        two, a, b = (TwoStableSubordinator(alpha, beta), StableSubordinator(alpha),
+                     StableSubordinator(beta))
+        t_lo, t_hi = sorted(10.0 ** e for e in log_ts)
+        real = 10.0 ** log_lam
+        for lam in (real, cmath.rect(real, angle)):
+            got = two.kernel_transform(lam)
+            assert got == a.kernel_transform(lam) + b.kernel_transform(lam)
+            assert np.isfinite(got)
+        assert two.kernel_transform(real) > 0.0
+        for name, args in (("kernel", (t_lo,)), ("kernel_integral", (t_lo,)),
+                           ("kernel_conv_power", (gamma, t_lo))):
+            got = getattr(two, name)(*args)
+            assert got == getattr(a, name)(*args) + getattr(b, name)(*args)
+            assert 0.0 < got < math.inf
+        assert two.kernel(t_hi) <= two.kernel(t_lo)
+
     def test_unsupported_for_log_kernel_model(self):
         with pytest.raises(UnsupportedModelError):
             ParametricLogSubordinator(0.5).kernel(1.0)
@@ -208,12 +252,13 @@ class TestKernel:
         # 0 without a log(0) or a divide warning
         model = DistributedOrderSubordinator()
         t = np.concatenate(([0.0], np.logspace(-6, 12, 181)))
+        cum_w = _DO_WEIGHTS * rgamma(1.0 + _DO_NODES)     # w_i / Gamma(1 + a_i)
         conv_w = _DO_WEIGHTS * math.gamma(1.0 + gamma) * rgamma(1.0 + gamma + _DO_NODES)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cases = [
                 (model.kernel(t[1:]), t[1:], _DO_NODES - 1.0, _DO_KERNEL_W),
-                (model.kernel_integral(t), t, _DO_NODES, _DO_CUM_W),
+                (model.kernel_integral(t), t, _DO_NODES, cum_w),
                 (model.kernel_conv_power(gamma, t), t, gamma + _DO_NODES, conv_w),
             ]
             assert model.kernel_integral(0.0) == 0.0

@@ -220,7 +220,7 @@ class TestFirstPassage:
         for lam in (0.5, 1.0):
             vals = np.exp(-lam * total)
             se = vals.std(ddof=1) / math.sqrt(n)
-            target = math.exp(-1.0 * model.laplace_exponent(lam))
+            target = math.exp(-lam * model.kernel_transform(lam))
             assert abs(vals.mean() - target) <= 3.5 * se + 1e-4
 
     def test_compound_poisson_increments_sum_each_paths_jumps(self, monkeypatch):
@@ -351,7 +351,7 @@ class TestFirstPassage:
         for lam in (0.5, 1.0):
             vals = np.exp(-lam * draws)
             se = vals.std(ddof=1) / math.sqrt(vals.size)
-            assert abs(vals.mean() - math.exp(-model.laplace_exponent(lam))) <= 3.5 * se
+            assert abs(vals.mean() - math.exp(-lam * model.kernel_transform(lam))) <= 3.5 * se
 
 
 class TestCapabilityDispatch:
@@ -614,3 +614,7 @@ class TestEstimate:
             McConfig(n_paths=10)
         with pytest.raises(ConfigError):
             McConfig(workers=0)
+        # (seed, n_paths) pins the bytes only if both are integers
+        for bad in ({"n_paths": 1000.5}, {"n_paths": 1000.0}, {"seed": 1.5}, {"workers": 2.0}):
+            with pytest.raises(ConfigError):
+                McConfig(**bad)

@@ -22,9 +22,12 @@ from fractime import (
     UnsupportedDynamicError,
     cesaro_curve,
     cesaro_mean,
+    density_tail_cutoff,
     double_transform_residual,
+    gamma_fn,
     gaver_stehfest_invert,
     inverse_stable_density,
+    mittag_leffler,
     stable_closed_form,
     stable_quadrature,
     subordinated_curve,
@@ -371,6 +374,9 @@ def test_quadrature_route_agreement_monomials(alpha):
     (lambda: inverse_stable_density(0.5, 1.0, math.nan), DomainError),
     (lambda: inverse_stable_density(0.5, math.inf, 1.0), DomainError),
     (lambda: double_transform_residual(0.5, math.nan, 1.0), DomainError),
+    (lambda: gamma_fn(math.nan), DomainError),
+    (lambda: density_tail_cutoff(0.5, math.nan), DomainError),
+    (lambda: mittag_leffler(0.5, math.nan), DomainError),
     (lambda: RelaxationProblem(StableSubordinator(0.5), a=math.nan), ConfigError),
     (lambda: RelaxationProblem(StableSubordinator(0.5), a=1.0, horizon=math.inf), ConfigError),
     (lambda: RelaxationProblem(StableSubordinator(0.5), a=1.0, u0=math.nan), ConfigError),
