@@ -5,8 +5,8 @@ machine-readable CSV/JSON.  Every output embeds a run manifest; equal
 manifests reproduce byte-identical numeric sections (Monte Carlo included,
 through the seed).
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
-failure.
+Exit codes: 0 success, 1 usage error (refused arguments included), 2
+numerical failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import cesaro_curve, cesaro_mean, fit_rate
-from .errors import ConfigError, FractimeError
+from .errors import (
+    ConfigError,
+    DomainError,
+    FractimeError,
+    UnsupportedDynamicError,
+    UnsupportedModelError,
+)
 from .grids import GridFunction, log_grid
 from .laplace import InversionConfig, gaver_stehfest_config, invert
 from .models import model_from_config, parse_dynamic
@@ -131,24 +137,25 @@ def _emit(args, manifest, results, fit=None):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_ml(args):
-    value = mittag_leffler(args.alpha, args.x)
-    manifest = _manifest(args, "ml")
+def _special_value(args, command, fn, *params):
+    """Print fn(*params); a DomainError is fn refusing its arguments, a usage error."""
+    try:
+        value = fn(*params)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
     if args.json:
-        _emit(args, manifest, {"value": value})
+        _emit(args, _manifest(args, command), {"value": value})
     else:
         print(repr(value))
     return 0
+
+
+def _cmd_ml(args):
+    return _special_value(args, "ml", mittag_leffler, args.alpha, args.x)
 
 
 def _cmd_wright(args):
-    value = wright(args.mu, args.nu, args.z)
-    manifest = _manifest(args, "wright")
-    if args.json:
-        _emit(args, manifest, {"value": value})
-    else:
-        print(repr(value))
-    return 0
+    return _special_value(args, "wright", wright, args.mu, args.nu, args.z)
 
 
 _TEST_TRANSFORMS = {
@@ -336,8 +343,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ConfigError as exc:
-        # invalid parameter values are invocation problems, not math failures
+    except (ConfigError, UnsupportedModelError, UnsupportedDynamicError) as exc:
+        # invalid parameter values and models or dynamics a command does not
+        # take are invocation problems, not math failures
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FractimeError as exc:

@@ -83,6 +83,14 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+def test_route_overflow_exit_code(capsys):
+    # a DomainError from a route, not from the arguments, stays a numerical failure
+    code, _, err = run_cli("subordinate", "--model", "stable", "--alpha", "0.5",
+                           "--dynamic", "mono:170", "--t", "1e12", capsys=capsys)
+    assert code == 2
+    assert "numerical failure" in err and "overflowed" in err
+
+
 @pytest.mark.parametrize("command", ["subordinate", "cesaro"])
 def test_time_outside_zero_to_infinity_exit_code(capsys, command):
     code, _, err = run_cli(command, "--model", "stable", "--alpha", "0.5",
@@ -107,7 +115,14 @@ def test_bad_model_parameter_exit_code(capsys):
     ("invert", "--transform", "decay:abc", "--t", "1"),
     ("invert", "--transform", "decay:-5", "--t", "10"),
     ("invert", "--transform", "decay:inf", "--t", "1"),
-], ids=["c3-s-nan", "exp-inf", "gfde-steps", "decay-text", "decay-negative", "decay-inf"])
+    # arguments outside a function's domain, and a model Monte Carlo cannot draw
+    ("ml", "--alpha", "1.5", "--x", "1"),
+    ("ml", "--alpha", "0.5", "--x", "-1"),
+    ("ml", "--alpha", "0.5", "--x", "nan"),
+    ("wright", "--mu", "0.5", "--nu", "0.5", "--z", "-1"),
+    ("mc", "--model", "c3", "--s", "0.5", "--dynamic", "mono:1", "--t", "1", "--paths", "1000"),
+], ids=["c3-s-nan", "exp-inf", "gfde-steps", "decay-text", "decay-negative", "decay-inf",
+        "ml-alpha", "ml-x-negative", "ml-x-nan", "wright-mu", "mc-c3"])
 def test_non_finite_or_oversized_parameter_exit_code(capsys, argv):
     code, _, err = run_cli(*argv, capsys=capsys)
     assert code == 1
@@ -131,7 +146,7 @@ def test_json_summary(capsys):
     payload = json.loads(out)
     assert payload["command"] == "mc"
     assert payload["manifest"]["seed"] == 7
-    assert set(payload["results"]) == {"mean", "std_error", "n", "ess", "cutoff", "bias"}
+    assert set(payload["results"]) == {"mean", "std_error", "n", "ess"}
 
 
 def test_csv_round_trip(tmp_path, capsys):
@@ -242,7 +257,7 @@ def test_import_leaves_scipy_integrate_unloaded():
 def test_routes_leave_scipy_linalg_and_fft_unloaded():
     # one op of each route that once used them: a relaxation solve and its
     # residual check, a double-transform residual (its Gauss-Jacobi panel),
-    # and a compound-Poisson Monte Carlo estimate
+    # and a distributed-order Monte Carlo estimate (once compound Poisson)
     assert _loaded_after(
         "import fractime as ft\n"
         "prob = ft.RelaxationProblem(ft.DistributedOrderSubordinator(), a=1.0, h=1e-2,\n"

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import rgamma
@@ -25,6 +26,7 @@ from fractime import (
     UnsupportedModelError,
     model_from_config,
     parse_dynamic,
+    talbot_invert,
 )
 from fractime.models import _DO_KERNEL_W, _DO_NODES, _DO_WEIGHTS
 
@@ -140,6 +142,24 @@ class TestKernelTransform:
         ratios = [model.kernel_transform(l) / l ** (-0.5) for l in (1e-4, 1e-6, 1e-8, 1e-10)]
         assert abs(ratios[-1] - 1.0) < 1e-2
         assert all(abs(r2 - 1.0) < abs(r1 - 1.0) for r1, r2 in zip(ratios, ratios[1:]))
+
+    @pytest.mark.parametrize("model", [m for m in ALL_MODELS if m.stable_terms], ids=repr)
+    def test_stable_terms_state_the_exponent_on_talbot_nodes(self, model):
+        # l K(l) = sum_i w_i l^(a_i) to 1e-13 relative on every node Talbot
+        # evaluates for t in [1e-6, 1e12]; distributed-order's 16 terms are
+        # its Gauss-Legendre rule in the order
+        nodes = []
+
+        def record(lam):
+            nodes.append(lam)
+            return 1.0 / lam
+
+        for t in np.geomspace(1e-6, 1e12, 73):
+            talbot_invert(record, float(t))
+        lam = np.concatenate(nodes)
+        got = sum(w * lam ** a for a, w in model.stable_terms)
+        want = lam * model.kernel_transform(lam)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 class TestKernel:
@@ -270,36 +290,6 @@ class TestKernel:
         with pytest.raises(DomainError):
             model.kernel_conv_power(gamma, -1.0)
 
-    @pytest.mark.parametrize("cutoff,lam", [(1e-3, 1.0), (1e-2, 100.0 + 50.0j),
-                                            (1e-3, -3000.0 + 400.0j), (0.5, 20.0j)])
-    def test_small_jump_exponent_by_parts(self, cutoff, lam):
-        # nu(dx) = -dk(x), so by parts I_c(l) = -(1 - e^(-lc) - lc) k(c)
-        # + l int_0^c (e^(-lx) - 1) k(x) dx, the integral taken by quad
-        model = DistributedOrderSubordinator()
-        lam = complex(lam)
-
-        def part(x):
-            return np.expm1(-lam * x) * model.kernel(x)
-
-        integral = complex(*(quad(lambda x: getattr(part(x), name), 0.0, cutoff,
-                                  epsabs=0.0, epsrel=1e-12, limit=200)[0]
-                             for name in ("real", "imag")))
-        want = -(-np.expm1(-lam * cutoff) - lam * cutoff) * model.kernel(cutoff) + lam * integral
-        assert model.small_jump_exponent(cutoff, lam) == pytest.approx(want, rel=1e-9)
-
-    def test_small_jump_exponent_surface(self):
-        model = DistributedOrderSubordinator()
-        got = model.small_jump_exponent(1e-3, np.array([1.0, 2.0 + 1.0j]))
-        assert got.shape == (2,)
-        assert got[0] == model.small_jump_exponent(1e-3, 1.0) < 0.0   # 1 - e^(-x) - x < 0
-        assert np.isscalar(model.small_jump_exponent(1e-3, 1.0))
-        for cutoff, lam in ((0.0, 1.0), (math.nan, 1.0), (1.0, 33.0), (1e-3, -4e4 + 1.0j)):
-            with pytest.raises(DomainError):
-                model.small_jump_exponent(cutoff, lam)
-        for other in (StableSubordinator(0.5), ParametricLogSubordinator(0.5)):
-            with pytest.raises(UnsupportedModelError):
-                other.small_jump_exponent(1e-3, 1.0)
-
     def test_cumulative_matches_order_quadrature(self):
         # adaptive quadrature over the order variable of the exact
         # per-order antiderivative (independent of the fixed rule inside)
@@ -343,30 +333,31 @@ class TestPredictions:
 
 class TestCapabilities:
     @pytest.mark.parametrize(
-        "model,indices,short_time,power,log_scale",
+        "model,terms,short_time,power,log_scale",
         [
-            (StableSubordinator(0.4), (0.4,), 0.4, 0.4, 0.0),
-            (TwoStableSubordinator(0.4, 0.7), (0.4, 0.7), 0.7, 0.4, 0.0),
-            (DistributedOrderSubordinator(), (), 1.0, 0.0, 1.0),
+            (StableSubordinator(0.4), ((0.4, 1.0),), 0.4, 0.4, 0.0),
+            (TwoStableSubordinator(0.4, 0.7), ((0.4, 1.0), (0.7, 1.0)), 0.7, 0.4, 0.0),
+            (DistributedOrderSubordinator(),
+             tuple(zip(0.5 * (leggauss(16)[0] + 1.0), 0.5 * leggauss(16)[1])), 1.0, 0.0, 1.0),
             (ParametricLogSubordinator(0.5), (), None, 0.0, 1.5),
         ],
     )
-    def test_models_state_their_capabilities(self, model, indices, short_time, power,
+    def test_models_state_their_capabilities(self, model, terms, short_time, power,
                                              log_scale):
-        assert model.stable_indices == indices
+        assert model.stable_terms == terms
         assert model.short_time_power == short_time
         assert (model.power_index, model.log_rate_scale) == (power, log_scale)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_models_are_immutable(self, model):
         # a parameter the kernel reads cannot drift from the stated capabilities
-        params, indices = model.describe(), model.stable_indices
-        for name in [*params, "stable_indices", "short_time_power", "power_index", "extra"]:
+        params, terms = model.describe(), model.stable_terms
+        for name in [*params, "stable_terms", "short_time_power", "power_index", "extra"]:
             with pytest.raises(FrozenInstanceError):
                 setattr(model, name, 0.9)
         with pytest.raises(FrozenInstanceError):
             del model.power_index
-        assert (model.describe(), model.stable_indices) == (params, indices)
+        assert (model.describe(), model.stable_terms) == (params, terms)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
     def test_config_round_trip(self, model):
