@@ -50,6 +50,16 @@ def rate_grid_for(model: SubordinatorModel) -> np.ndarray:
     return log_grid(1e4, 1e12, 25)
 
 
+def _running_transform(model: SubordinatorModel, dynamic: Dynamic):
+    """u^E's transform over lam, that of its running integral; inf where that
+    overflows (t near the float limit), for the inverter to refuse."""
+    def running(lam):
+        value = subordinated_transform(model, dynamic, lam)
+        with np.errstate(over="ignore"):
+            return value / lam
+    return running
+
+
 def cesaro_mean(
     model: SubordinatorModel,
     dynamic: Dynamic,
@@ -60,10 +70,7 @@ def cesaro_mean(
 
     The inversion refuses any other t with ConfigError.
     """
-    running = invert(
-        lambda lam: subordinated_transform(model, dynamic, lam) / lam, t, cfg
-    )
-    return running / t
+    return invert(_running_transform(model, dynamic), t, cfg) / t
 
 
 def cesaro_curve(
@@ -72,9 +79,7 @@ def cesaro_curve(
     grid: Sequence[float],
     cfg: InversionConfig | None = None,
 ) -> GridFunction:
-    samples = invert_on_grid(
-        lambda lam: subordinated_transform(model, dynamic, lam) / lam, grid, cfg
-    )
+    samples = invert_on_grid(_running_transform(model, dynamic), grid, cfg)
     return GridFunction(samples.abscissae, samples.values / samples.abscissae)
 
 

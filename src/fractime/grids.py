@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class GridFunction:
 
 
 def log_grid(t_min: float, t_max: float, points: int) -> np.ndarray:
-    """Logarithmically spaced abscissae on [t_min, t_max]."""
-    if not (0.0 < t_min < t_max) or points < 2:
-        raise ConfigError("need 0 < t_min < t_max and at least 2 points")
+    """Logarithmically spaced abscissae on a finite [t_min, t_max]; points is an integer >= 2."""
+    if not (0.0 < t_min < t_max < np.inf and isinstance(points, numbers.Integral) and points >= 2):
+        raise ConfigError("need finite 0 < t_min < t_max and an integer of at least 2 points")
     return np.logspace(np.log10(t_min), np.log10(t_max), points)

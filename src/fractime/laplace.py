@@ -170,7 +170,7 @@ def gaver_stehfest_invert(
 
     transform is called once, with the long-double array of the 16 real
     nodes.  Needs only real-axis evaluations; the inverse must be smooth
-    near t.
+    near t.  A value with a nonzero imaginary part raises InversionError.
     """
     _require_time(t)
     # Extended-precision nodes flow through transforms built from numpy
@@ -179,10 +179,11 @@ def gaver_stehfest_invert(
     scale = np.longdouble(_LN2) / np.longdouble(t)
     nodes = scale * np.arange(1, _STEHFEST_TERMS + 1, dtype=np.longdouble)
     vals = _evaluate(transform, nodes)
-    bad = ~np.isfinite(vals)
+    bad = ~np.isfinite(vals) | (vals.imag != 0.0)
     if bad.any():
-        raise InversionError(f"transform returned non-finite value at {nodes[bad][0]}", t=t)
-    return float(scale * np.dot(_STEHFEST_WEIGHTS, vals))
+        raise InversionError(
+            f"transform returned non-finite or non-real value at {nodes[bad][0]}", t=t)
+    return float(scale * np.dot(_STEHFEST_WEIGHTS, vals.real))
 
 
 def invert(transform, t: float, cfg: InversionConfig | None = None) -> float:

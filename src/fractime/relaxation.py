@@ -103,8 +103,7 @@ def _scheme_arrays(prob: RelaxationProblem):
     if steps < 1:
         raise ConfigError("horizon shorter than one step")
     t = prob.h * np.arange(steps + 1)
-    cumulative = np.zeros(steps + 1)
-    cumulative[1:] = prob.model.kernel_integral(t[1:])
+    cumulative = prob.model.kernel_integral(t)
     weights = np.diff(cumulative)  # weights[i] = integral of k over (ih, (i+1)h)
 
     g = prob.model.short_time_power

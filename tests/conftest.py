@@ -102,6 +102,21 @@ def wright_series_oracle(mu: float, nu: float, z: float, dps: int = 120) -> floa
             n += 1
 
 
+def distributed_order_oracle(t: float, gamma: float | None = None, dps: int = 30) -> float:
+    """Distributed-order kernel (gamma None) or its convolution with s^gamma at t > 0.
+
+    mpmath quadrature over the order a of the per-order closed forms:
+    k(t) = int_0^1 t^(a-1)/Gamma(a) da and
+    int_0^t k(t-s) s^gamma ds = int_0^1 Gamma(1+gamma) t^(gamma+a)/Gamma(1+gamma+a) da.
+    """
+    with mp.workdps(dps):
+        tt = mp.mpf(t)
+        if gamma is None:
+            return float(mp.quad(lambda a: tt ** (a - 1) * mp.rgamma(a), [0, 1]))
+        g = mp.mpf(gamma)
+        return float(mp.gamma(1 + g) * mp.quad(lambda a: tt ** (g + a) * mp.rgamma(1 + g + a), [0, 1]))
+
+
 def half_gaussian_density(t: float, tau: float) -> float:
     """Closed-form inverse-stable density at index 1/2."""
     return math.exp(-tau * tau / (4.0 * t)) / math.sqrt(math.pi * t)

@@ -1,6 +1,7 @@
 """Cesaro means, rate fitting, and predicted-vs-fitted verification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from fractime import (
     DistributedOrderSubordinator,
     DomainError,
     Exponential,
+    FractimeError,
     GridFunction,
     Monomial,
     StableSubordinator,
+    cesaro_curve,
     cesaro_mean,
     fit_rate,
     log_grid,
@@ -44,6 +47,18 @@ class TestCesaroMean:
     def test_requires_positive_time(self):
         with pytest.raises(ConfigError):
             cesaro_mean(StableSubordinator(0.5), Monomial(1), 0.0)
+
+    def test_time_past_the_doubles_raises_before_any_warning(self):
+        # at t = 1e200 the running transform overflows at the contour's
+        # nodes; the inverter refuses that with a typed error, and no numpy
+        # warning comes first
+        model, dyn = DistributedOrderSubordinator(), Exponential(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FractimeError):
+                cesaro_mean(model, dyn, 1e200)
+            with pytest.raises(FractimeError):
+                cesaro_curve(model, dyn, [1.0, 1e200])
 
     @pytest.mark.parametrize("t", [10.0, 100.0])
     @pytest.mark.parametrize("dyn", [Monomial(1), Exponential(1.0)], ids=["mono1", "exp1"])

@@ -1,5 +1,7 @@
 """GridFunction carrier invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,5 +43,7 @@ def test_log_grid():
     assert g[0] == pytest.approx(0.1)
     assert g[-1] == pytest.approx(100.0)
     assert np.all(np.diff(np.log(g)) > 0)
-    with pytest.raises(ConfigError):
-        log_grid(10.0, 1.0, 5)
+    # reversed or infinite bounds, and a point count that is no integer
+    for args in [(10.0, 1.0, 5), (1.0, math.inf, 4), (1.0, 10.0, 2.5)]:
+        with pytest.raises(ConfigError):
+            log_grid(*args)

@@ -1,18 +1,23 @@
 """Inversion methods against rational transforms with known inverses."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fractime import (
     ConfigError,
+    Exponential,
     InversionConfig,
     InversionError,
     StableSubordinator,
+    UserTransform,
     gaver_stehfest_config,
     gaver_stehfest_invert,
     invert_on_grid,
+    subordinated_value,
     talbot_invert,
 )
 from fractime.laplace import invert
@@ -70,6 +75,27 @@ class TestGaverStehfest:
         combined = gaver_stehfest_invert(lambda l: 3.0 * f(l) + 0.5 * g(l), 1.0)
         split = 3.0 * gaver_stehfest_invert(f, 1.0) + 0.5 * gaver_stehfest_invert(g, 1.0)
         assert combined == pytest.approx(split, abs=1e-9)
+
+    def test_complex_values_real_on_the_axis(self):
+        # a complex-typed transform that is real on the real axis inverts as
+        # its real part, with no ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaver_stehfest_invert(lambda l: np.exp(-l) + 0j, 1.0)
+            assert got == gaver_stehfest_invert(lambda l: np.exp(-l), 1.0)
+            written = UserTransform(lambda z: 1.0 / (z + cmath.sqrt(1.0)))
+            got = subordinated_value(StableSubordinator(0.5), written, 1.0, gaver_stehfest_config())
+        want = subordinated_value(StableSubordinator(0.5), Exponential(1.0), 1.0,
+                                  gaver_stehfest_config())
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_complex_values_off_the_axis_refused(self):
+        # 1/(l + i) is not real for real l: no real inverse to read off
+        off_axis = UserTransform(lambda z: 1.0 / (z + 1j))
+        with pytest.raises(InversionError, match="non-real"):
+            gaver_stehfest_invert(off_axis.transform, 1.0)
+        with pytest.raises(InversionError, match="non-real"):
+            subordinated_value(StableSubordinator(0.5), off_axis, 1.0, gaver_stehfest_config())
 
 
 def test_talbot_term_floor():

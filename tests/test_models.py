@@ -28,7 +28,7 @@ from fractime import (
     parse_dynamic,
     talbot_invert,
 )
-from fractime.models import _DO_KERNEL_W, _DO_NODES, _DO_WEIGHTS
+from conftest import distributed_order_oracle
 
 ALL_MODELS = [
     StableSubordinator(0.3),
@@ -266,29 +266,56 @@ class TestKernel:
                    limit=400, full_output=1)[0]
         assert val == pytest.approx(model.kernel_transform(lam), rel=1e-4)
 
-    @pytest.mark.parametrize("gamma", [0.3, 1.0])
-    def test_distributed_order_power_sums_match_term_powers(self, gamma):
-        # each order-quadrature sum against one pow per node; t = 0 gives exactly
-        # 0 without a log(0) or a divide warning
+    def test_distributed_order_kernels_sum_its_stable_terms(self):
+        # the kernel surface is the stable-sum formulas over the model's own
+        # 16 (index, weight) terms, each written out as one pow per term
         model = DistributedOrderSubordinator()
-        t = np.concatenate(([0.0], np.logspace(-6, 12, 181)))
-        cum_w = _DO_WEIGHTS * rgamma(1.0 + _DO_NODES)     # w_i / Gamma(1 + a_i)
-        conv_w = _DO_WEIGHTS * math.gamma(1.0 + gamma) * rgamma(1.0 + gamma + _DO_NODES)
+        a, w = np.array(model.stable_terms).T
+        t = np.logspace(-6, 12, 181)
+        gamma = 0.3
+        cases = [
+            (model.kernel(t), -a, w * rgamma(1.0 - a)),
+            (model.kernel_integral(t), 1.0 - a, w * rgamma(2.0 - a)),
+            (model.kernel_conv_power(gamma, t), 1.0 + gamma - a,
+             w * math.gamma(1.0 + gamma) * rgamma(2.0 + gamma - a)),
+        ]
+        for got, exponents, weights in cases:
+            want = (np.power.outer(t, exponents) * weights).sum(axis=-1)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("method,gamma", [
+        ("kernel", None), ("kernel_integral", 0.0), ("kernel_conv_power", -0.9),
+        ("kernel_conv_power", 0.3), ("kernel_conv_power", 1.0),
+    ])
+    def test_distributed_order_kernels_match_order_integral(self, method, gamma):
+        # the 16-term stable sum against a 30-digit quadrature over the order,
+        # one t per decade of [1e-6, 1e12]
+        model = DistributedOrderSubordinator()
+        t = np.logspace(-6, 12, 19)
+        if method == "kernel":
+            got = model.kernel(t)
+        elif method == "kernel_integral":
+            got = model.kernel_integral(t)
+        else:
+            got = model.kernel_conv_power(gamma, t)
+        want = np.array([distributed_order_oracle(x, gamma) for x in t])
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "model",
+        [StableSubordinator(0.95), TwoStableSubordinator(0.5, 0.95), DistributedOrderSubordinator()],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("gamma", [-0.9, -0.5, -0.05, 0.0, 0.3])
+    def test_conv_power_at_zero_is_zero(self, model, gamma):
+        # the integral over [0, 0] is 0 even where a term's power of t has
+        # exponent <= 0 (0**0 = 1, 0**negative = inf), with no numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cases = [
-                (model.kernel(t[1:]), t[1:], _DO_NODES - 1.0, _DO_KERNEL_W),
-                (model.kernel_integral(t), t, _DO_NODES, cum_w),
-                (model.kernel_conv_power(gamma, t), t, gamma + _DO_NODES, conv_w),
-            ]
-            assert model.kernel_integral(0.0) == 0.0
             assert model.kernel_conv_power(gamma, 0.0) == 0.0
-        for got, ts, exponents, weights in cases:
-            want = (np.power.outer(ts, exponents) * weights).sum(axis=-1)
-            assert np.all(got[ts == 0.0] == 0.0)
-            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-        with pytest.raises(DomainError):
-            model.kernel_conv_power(gamma, -1.0)
+            got = model.kernel_conv_power(gamma, np.array([0.0, 1.0, 0.0]))
+            assert got[0] == 0.0 and got[2] == 0.0
+            assert got[1] == model.kernel_conv_power(gamma, 1.0) > 0.0
 
     def test_cumulative_matches_order_quadrature(self):
         # adaptive quadrature over the order variable of the exact
