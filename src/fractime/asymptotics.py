@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InversionError
 from .grids import GridFunction, log_grid
 from .laplace import InversionConfig, invert, invert_on_grid
 from .models import Dynamic, RatePrediction, SubordinatorModel
@@ -52,11 +52,27 @@ def rate_grid_for(model: SubordinatorModel) -> np.ndarray:
 
 def _running_transform(model: SubordinatorModel, dynamic: Dynamic):
     """u^E's transform over lam, that of its running integral; inf where that
-    overflows (t near the float limit), for the inverter to refuse."""
+    overflows (t near the float limit), for the inverter to refuse.
+
+    Where it falls below the normal doubles from a nonzero u^E (at tiny t,
+    whose contour nodes are huge: below about 1e-150 for exp:1) its digits
+    are lost, and zeros and denormals would invert to 0 or worse: that
+    raises InversionError.  A transform that is zero inverts to 0.
+    """
     def running(lam):
         value = subordinated_transform(model, dynamic, lam)
+        try:
+            with np.errstate(over="ignore", under="raise"):
+                return value / lam
+        except FloatingPointError:
+            pass
+        # something underflowed, maybe only a small part of a complex value,
+        # which is harmless: a quotient's magnitude decides
         with np.errstate(over="ignore"):
-            return value / lam
+            out = value / lam
+        if np.any(value[abs(out) < np.finfo(out.dtype).tiny] != 0.0):
+            raise InversionError("the running transform underflows the doubles; t is too small")
+        return out
     return running
 
 

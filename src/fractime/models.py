@@ -163,6 +163,13 @@ def _check_conv_exponent(gamma) -> None:
         raise DomainError(f"kernel_conv_power requires -1 < gamma < inf, got {gamma!r}")
 
 
+def _finite_kernel_values(out: np.ndarray, method: str):
+    """out as a float (0-d) or the array; DomainError unless every value is finite."""
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"{method} overflows the doubles")
+    return float(out) if out.ndim == 0 else out
+
+
 class SubordinatorModel:
     """Common surface of the subordinator families.
 
@@ -254,17 +261,20 @@ class StableSubordinator(SubordinatorModel):
 
     def kernel(self, t):
         t = _kernel_times(t, "kernel", positive=True)
-        out = reduce(add, (w * t ** (-a) * _rgamma(1.0 - a) for a, w in self.stable_terms))
-        return float(out) if out.ndim == 0 else out
+        with np.errstate(over="ignore"):
+            out = reduce(add, (w * t ** (-a) * _rgamma(1.0 - a) for a, w in self.stable_terms))
+        return _finite_kernel_values(out, "kernel")
 
     def kernel_conv_power(self, gamma, t):
         _check_conv_exponent(gamma)
         t = _kernel_times(t, "kernel_conv_power")
         # where=: the integral over [0, 0] is 0, also for exponents <= 0
-        out = reduce(add, (w * _gamma(1.0 + gamma) * _rgamma(2.0 + gamma - a)
-                           * np.power(t, 1.0 + gamma - a, where=t > 0.0, out=np.zeros_like(t))
-                           for a, w in self.stable_terms))
-        return float(out) if out.ndim == 0 else out
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where Gamma overflows
+            out = reduce(add, (w * _gamma(1.0 + gamma) * _rgamma(2.0 + gamma - a)
+                               * np.power(t, 1.0 + gamma - a, where=t > 0.0,
+                                          out=np.zeros_like(t))
+                               for a, w in self.stable_terms))
+        return _finite_kernel_values(out, "kernel_conv_power")
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,16 @@ states a short-time power has the time-domain kernel the scheme needs;
 models that state none (transform-only kernels) are rejected.
 
 Past the first step the rows form one lower-triangular Toeplitz system,
-solved by blocked forward substitution (Hairer, Lubich & Schlichte, SIAM
-J. Sci. Stat. Comput. 1985): each block of rows takes the solved rows'
-share in one matrix-vector product and then applies the precomputed
-inverse of the small triangular diagonal block, so no Python runs per row.
-The two full convolution sums, the starting correction's and the residual
-check's, are taken by numpy's real FFT, so outside the solve a problem
-costs O(N log N).  Only numpy is used: scipy.linalg and scipy.fft stay
-unloaded.
+the kind of convolution-quadrature system of Hairer, Lubich & Schlichte
+(SIAM J. Sci. Stat. Comput. 1985).  Its inverse is lower-triangular
+Toeplitz too, with first column the power series reciprocal of the
+weights, which Newton's iteration builds with FFT products (Lin, Ching &
+Ng, Theoret. Comput. Sci. 2004); the solution is that reciprocal
+convolved with the right-hand side, plus one refinement step.  Every
+convolution, the starting correction's and the residual check's too, is
+taken by numpy's real FFT, so a problem costs O(N log N) time and O(N)
+memory, with no Python per row.  Only numpy is used: scipy.linalg and
+scipy.fft stay unloaded.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .grids import GridFunction
 from .models import SubordinatorModel
 
 
-# The blocked solve holds a _BLOCK x steps slab of doubles (25.6 MB at this
-# bound, next to tables and FFT buffers of a few MB), so a tiny h cannot ask
-# for gigabytes; the largest step count the package itself uses is 5000.
+# Tables and FFT buffers take a few MB at this bound, so a tiny h cannot ask
+# for gigabytes; a solve here takes about 50 ms on two shared cores.  The
+# largest step count the package itself uses is 5000.
 _MAX_STEPS = 100_000
 
 
@@ -119,31 +121,55 @@ def _scheme_arrays(prob: RelaxationProblem):
     return t, cumulative, weights, b
 
 
-_BLOCK = 32  # rows per block of the triangular solve; the slab holds _BLOCK x steps doubles
+_HEAD = 64  # at most this many leading coefficients of the reciprocal come from a dense solve
+
+
+def _series_reciprocal(c: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of the power series 1/c(z), c[0] != 0.
+
+    They are the first column of the inverse of the lower-triangular
+    Toeplitz matrix with first column c.  The leading ones, at most _HEAD,
+    come from one dense triangular solve; Newton's iteration
+    g <- g - g (c g - 1) then doubles the number known, with real FFT
+    products, up to n (Lin, Ching & Ng, Theoret. Comput. Sci. 2004).  The
+    counts are n halved (rounding up) until at most _HEAD remain, so no
+    step forms more coefficients than the next one keeps.  With m known,
+    c g - 1 vanishes below z^m, so only its coefficients m..k-1 are formed:
+    the cyclic wrap of the product lands below m, where it is not read,
+    and one spectrum of g serves both products of a step.
+    """
+    counts = [n]
+    while counts[-1] > _HEAD:
+        counts.append((counts[-1] + 1) // 2)
+    m = counts.pop()
+    lag = np.subtract.outer(np.arange(m), np.arange(m))
+    head = np.where(lag >= 0, c[np.maximum(lag, 0)], 0.0)
+    g = np.linalg.solve(head, np.eye(m, 1)[:, 0])
+    for k in reversed(counts):
+        size = _fast_len(k)
+        spectrum = np.fft.rfft(g, size)
+        excess = np.fft.irfft(np.fft.rfft(c[:k], size) * spectrum, size)[m:k]
+        step = np.fft.irfft(np.fft.rfft(excess, size) * spectrum, size)[:k - m]
+        g = np.concatenate((g, -step))
+        m = k
+    return g
 
 
 def _toeplitz_forward(c: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve sum_{j <= i} c[i - j] x[j] = rhs[i] by blocked forward substitution.
+    """Solve sum_{j <= i} c[i - j] x[j] = rhs[i] as x = g * rhs, g = 1/c.
 
-    Each block of _BLOCK rows first takes off the solved rows' share in one
-    matrix-vector product with the slab G[p, k] = c[p + k], read against
-    the solution stored in reverse, then applies the inverse of the fixed
-    lower-triangular Toeplitz diagonal block, computed once.  The leading
-    m x m corner of that inverse is the inverse of the block's corner, so
-    a short last block uses it too.
+    One step of refinement, x += g * (rhs - c * x), takes the residual
+    left by the reciprocal's own roundoff (up to 3e-11 for small stable
+    indices) back to that of the products; one spectrum of g serves both
+    products with g.
     """
     n = rhs.size
-    padded = np.zeros(n + _BLOCK - 1)
-    padded[:n] = c[:n]
-    slab = np.lib.stride_tricks.sliding_window_view(padded, n)[:_BLOCK].copy()
-    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
-    inverse = np.linalg.inv(np.where(lag >= 0, padded[np.maximum(lag, 0)], 0.0))
-    rev = np.empty(n)  # rev[n - 1 - j] = x[j]
-    for s in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - s)
-        part = rhs[s:s + m] - slab[:m, 1:s + 1] @ rev[n - s:]
-        rev[n - s - m:n - s] = (inverse[:m, :m] @ part)[::-1]
-    return rev[::-1]
+    size = _fast_len(2 * n - 1)
+    spectrum = np.fft.rfft(_series_reciprocal(c, n), size)
+    x = np.fft.irfft(np.fft.rfft(rhs, size) * spectrum, size)[:n]
+    r = rhs - _causal_convolve(c[:n], x)
+    x += np.fft.irfft(np.fft.rfft(r, size) * spectrum, size)[:n]
+    return x
 
 
 def solve_relaxation(prob: RelaxationProblem) -> GridFunction:
@@ -152,8 +178,8 @@ def solve_relaxation(prob: RelaxationProblem) -> GridFunction:
     The first step carries the starting correction and is a scalar division.
     Rows 2..N then form one lower-triangular Toeplitz system in u_2..u_N,
     with c_0 = W_0 + a h and c_k = W_k + a h (the implicit damping sum
-    folded into the convolution weights); it is solved by blocked forward
-    substitution, two matrix-vector products per block of rows.
+    folded into the convolution weights); it is solved in O(N log N) by
+    the series reciprocal of c and one refinement step.
     """
     t, cumulative, weights, b = _scheme_arrays(prob)
     steps = t.size - 1
@@ -175,7 +201,7 @@ def residual_check(solution: GridFunction, prob: RelaxationProblem) -> float:
     """Max defect of the solution in the assembled integrated equation.
 
     Shares the scheme's tables with the solve but assembles every row
-    from full convolutions, independently of the blocked substitution,
+    from full convolutions, independently of the Toeplitz solve,
     and returns the largest absolute row defect; a correct solve leaves
     only roundoff.
     """

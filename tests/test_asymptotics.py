@@ -15,8 +15,10 @@ from fractime import (
     Exponential,
     FractimeError,
     GridFunction,
+    InversionError,
     Monomial,
     StableSubordinator,
+    UserTransform,
     cesaro_curve,
     cesaro_mean,
     fit_rate,
@@ -59,6 +61,29 @@ class TestCesaroMean:
                 cesaro_mean(model, dyn, 1e200)
             with pytest.raises(FractimeError):
                 cesaro_curve(model, dyn, [1.0, 1e200])
+
+    @pytest.mark.parametrize("model", [StableSubordinator(0.5), DistributedOrderSubordinator()],
+                             ids=["stable", "distributed-order"])
+    def test_time_below_the_doubles_raises(self, model):
+        # below t ~ 1e-150 the running transform ~ 1/lam^2 leaves the normal
+        # doubles on the contour's nodes; it returned 0.0 from 1e-165 on and
+        # -39.6 at 1e-160, where the mean is about 1
+        dyn = Exponential(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cesaro_mean(model, dyn, 1e-150) == pytest.approx(1.0, abs=1e-11)
+            assert cesaro_curve(model, dyn, [1e-150, 1.0]).values[0] == cesaro_mean(
+                model, dyn, 1e-150)
+            for t in (1e-160, 1e-170, 1e-200, 1e-300):
+                with pytest.raises(InversionError):
+                    cesaro_mean(model, dyn, t)
+                with pytest.raises(InversionError):
+                    cesaro_curve(model, dyn, [t, 1.0])
+
+    def test_zero_transform_inverts_to_zero(self):
+        zero = UserTransform(lambda z: 0.0 * z)
+        for t in (1e-200, 1.0):
+            assert cesaro_mean(StableSubordinator(0.5), zero, t) == 0.0
 
     @pytest.mark.parametrize("t", [10.0, 100.0])
     @pytest.mark.parametrize("dyn", [Monomial(1), Exponential(1.0)], ids=["mono1", "exp1"])

@@ -317,6 +317,36 @@ class TestKernel:
             assert got[0] == 0.0 and got[2] == 0.0
             assert got[1] == model.kernel_conv_power(gamma, 1.0) > 0.0
 
+    @pytest.mark.parametrize(
+        "model",
+        [StableSubordinator(0.5), TwoStableSubordinator(0.3, 0.8), DistributedOrderSubordinator()],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("gamma, t", [(2.0, 1e300), (2.0, np.array([1.0, 1e300])),
+                                          (200.0, 2.0)], ids=["t", "t-array", "gamma"])
+    def test_conv_power_overflow_raises(self, model, gamma, t):
+        # t^(3 - a) passes the doubles at t = 1e300, Gamma(201) at gamma = 200;
+        # either is a typed error, with no numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                model.kernel_conv_power(gamma, t)
+
+    @pytest.mark.parametrize(
+        "model",
+        [StableSubordinator(0.999), TwoStableSubordinator(0.3, 0.999),
+         DistributedOrderSubordinator()],
+        ids=repr,
+    )
+    def test_kernel_overflow_raises(self, model):
+        # t^-a passes the doubles at the smallest denormal for a near 1
+        # (distributed-order's largest stable index is 0.9947)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                model.kernel(np.array([1.0, 5e-324]))
+            assert np.isfinite(model.kernel(1e-300))
+
     def test_cumulative_matches_order_quadrature(self):
         # adaptive quadrature over the order variable of the exact
         # per-order antiderivative (independent of the fixed rule inside)

@@ -19,11 +19,18 @@ from fractime import (
     solve_relaxation,
     subordinated_value,
 )
-from fractime.relaxation import _BLOCK, _MAX_STEPS, _fast_len, _scheme_arrays
+from fractime.relaxation import (
+    _HEAD,
+    _MAX_STEPS,
+    _causal_convolve,
+    _fast_len,
+    _scheme_arrays,
+    _series_reciprocal,
+)
 
 
 def forward_substitution(prob):
-    """The scheme solved one row at a time: the plain reference for the blocked solve."""
+    """The scheme solved one row at a time: the plain reference for the Toeplitz solve."""
     t, cumulative, weights, b = _scheme_arrays(prob)
     steps = t.size - 1
     u = np.empty(steps + 1)
@@ -182,8 +189,8 @@ def test_any_model_stating_a_short_time_power_is_solved():
     TwoStableSubordinator(0.3, 0.8),
     DistributedOrderSubordinator(),
 ], ids=["stable", "two-stable", "distributed-order"])
-@pytest.mark.parametrize("steps", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5000])
-def test_blocked_solve_matches_forward_substitution(model, steps):
+@pytest.mark.parametrize("steps", [1, 2, _HEAD - 1, _HEAD, _HEAD + 1, 5000])
+def test_solve_matches_forward_substitution(model, steps):
     for a in (0.0, 1.0, 3.0):
         for u0 in (0.0, 2.5):
             prob = RelaxationProblem(model, a=a, u0=u0, h=1e-3, horizon=steps * 1e-3)
@@ -191,6 +198,45 @@ def test_blocked_solve_matches_forward_substitution(model, steps):
             assert sol.values.size == steps + 1
             assert np.max(np.abs(sol.values - forward_substitution(prob))) <= 1e-12
             assert residual_check(sol, prob) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    StableSubordinator(0.05),
+    StableSubordinator(0.15),
+    TwoStableSubordinator(0.15, 0.3),
+], ids=["stable-0.05", "stable-0.15", "two-stable-0.15-0.3"])
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+def test_small_index_residual_is_roundoff(model, h):
+    # small indices give the slowest-decaying weights, where the reciprocal
+    # of the weights alone leaves residuals of 1e-11; the refinement step
+    # brings them back to roundoff
+    prob = RelaxationProblem(model, a=1.0, h=h, horizon=5000 * h)
+    assert residual_check(solve_relaxation(prob), prob) <= 1e-12
+
+
+def test_solve_at_the_step_bound():
+    prob = RelaxationProblem(StableSubordinator(0.15), a=3.0, h=1e-4, horizon=10.0)
+    sol = solve_relaxation(prob)
+    assert sol.values.size == _MAX_STEPS + 1
+    assert np.all(np.isfinite(sol.values))
+    assert residual_check(sol, prob) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    StableSubordinator(0.05),
+    StableSubordinator(0.5),
+    TwoStableSubordinator(0.3, 0.8),
+    DistributedOrderSubordinator(),
+], ids=["stable-0.05", "stable-0.5", "two-stable", "distributed-order"])
+@pytest.mark.parametrize("n", [1, _HEAD - 1, _HEAD, _HEAD + 1, 4999])
+def test_series_reciprocal_inverts_the_weights(model, n):
+    # c * (1/c) is the unit vector: the first column of T(c) T(c)^-1
+    prob = RelaxationProblem(model, a=1.0, h=1e-3, horizon=5.0)
+    c = _scheme_arrays(prob)[2] + prob.a * prob.h
+    g = _series_reciprocal(c, n)
+    assert g.size == n
+    unit = np.eye(n, 1)[:, 0]
+    assert np.max(np.abs(_causal_convolve(c[:n], g) - unit)) <= 1e-13
 
 
 def test_fast_len_is_the_next_5_smooth_length():
