@@ -18,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InversionError
+from .errors import ConfigError, DomainError
 from .grids import GridFunction, log_grid
 from .laplace import InversionConfig, invert, invert_on_grid
 from .models import Dynamic, RatePrediction, SubordinatorModel
-from .subordinate import subordinated_transform
+from .subordinate import _refuse_underflow, subordinated_transform
 
 __all__ = [
     "GridFunction",
@@ -50,30 +50,9 @@ def rate_grid_for(model: SubordinatorModel) -> np.ndarray:
     return log_grid(1e4, 1e12, 25)
 
 
-def _running_transform(model: SubordinatorModel, dynamic: Dynamic):
-    """u^E's transform over lam, that of its running integral; inf where that
-    overflows (t near the float limit), for the inverter to refuse.
-
-    Where it falls below the normal doubles from a nonzero u^E (at tiny t,
-    whose contour nodes are huge: below about 1e-150 for exp:1) its digits
-    are lost, and zeros and denormals would invert to 0 or worse: that
-    raises InversionError.  A transform that is zero inverts to 0.
-    """
-    def running(lam):
-        value = subordinated_transform(model, dynamic, lam)
-        try:
-            with np.errstate(over="ignore", under="raise"):
-                return value / lam
-        except FloatingPointError:
-            pass
-        # something underflowed, maybe only a small part of a complex value,
-        # which is harmless: a quotient's magnitude decides
-        with np.errstate(over="ignore"):
-            out = value / lam
-        if np.any(value[abs(out) < np.finfo(out.dtype).tiny] != 0.0):
-            raise InversionError("the running transform underflows the doubles; t is too small")
-        return out
-    return running
+def _running_transform(model: SubordinatorModel, dynamic: Dynamic, lam):
+    """u^E's transform over lam, that of its running integral."""
+    return subordinated_transform(model, dynamic, lam) / lam
 
 
 def cesaro_mean(
@@ -84,9 +63,10 @@ def cesaro_mean(
 ) -> float:
     """Running time-average of the subordinated dynamic at a finite time t > 0.
 
-    The inversion refuses any other t with ConfigError.
+    The inversion refuses any other t with ConfigError, and a t so small that
+    the transform underflows (below about 1e-150 for exp:1) with InversionError.
     """
-    return invert(_running_transform(model, dynamic), t, cfg) / t
+    return invert(_refuse_underflow(_running_transform, model, dynamic), t, cfg) / t
 
 
 def cesaro_curve(
@@ -95,7 +75,7 @@ def cesaro_curve(
     grid: Sequence[float],
     cfg: InversionConfig | None = None,
 ) -> GridFunction:
-    samples = invert_on_grid(_running_transform(model, dynamic), grid, cfg)
+    samples = invert_on_grid(_refuse_underflow(_running_transform, model, dynamic), grid, cfg)
     return GridFunction(samples.abscissae, samples.values / samples.abscissae)
 
 

@@ -23,10 +23,7 @@ their composition ``subordinated_transform`` -- is elementwise on arrays;
 a transform written for one scalar belongs in ``UserTransform``, which
 applies it entry by entry; given to an inverter directly, a transform that
 cannot take the array raises ConfigError.  ``invert_on_grid`` still inverts one t at a
-time.  Of scipy, ``import fractime`` loads ``scipy.special`` alone: no module
-it loads imports ``scipy.integrate``, ``scipy.linalg`` or ``scipy.fft``, and
-no route imports them when it runs (``fractime.verify``'s Mittag-Leffler
-reference imports ``quad`` in its body).
+time.
 """
 
 from __future__ import annotations

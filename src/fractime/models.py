@@ -30,9 +30,9 @@ from typing import Callable, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as _gamma, rgamma as _rgamma
 
 from .errors import ConfigError, DomainError, UnsupportedDynamicError, UnsupportedModelError
+from .special import _rgamma, gamma_fn
 
 Complex = Union[float, complex]
 
@@ -270,7 +270,7 @@ class StableSubordinator(SubordinatorModel):
         t = _kernel_times(t, "kernel_conv_power")
         # where=: the integral over [0, 0] is 0, also for exponents <= 0
         with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 where Gamma overflows
-            out = reduce(add, (w * _gamma(1.0 + gamma) * _rgamma(2.0 + gamma - a)
+            out = reduce(add, (w * gamma_fn(1.0 + gamma) * _rgamma(2.0 + gamma - a)
                                * np.power(t, 1.0 + gamma - a, where=t > 0.0,
                                           out=np.zeros_like(t))
                                for a, w in self.stable_terms))

@@ -22,8 +22,7 @@ Ng, Theoret. Comput. Sci. 2004); the solution is that reciprocal
 convolved with the right-hand side, plus one refinement step.  Every
 convolution, the starting correction's and the residual check's too, is
 taken by numpy's real FFT, so a problem costs O(N log N) time and O(N)
-memory, with no Python per row.  Only numpy is used: scipy.linalg and
-scipy.fft stay unloaded.
+memory, with no Python per row.
 """
 
 from __future__ import annotations

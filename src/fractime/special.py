@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import mpmath as mp
 from functools import lru_cache
-from scipy.special import gamma as _scipy_gamma, rgamma as _rgamma
 
 from .errors import ConfigError, ConvergenceError, DomainError, PoleError
 from .laplace import talbot_invert
@@ -47,17 +46,27 @@ _MP_LOCK = threading.Lock()
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function on the reals, raising at its poles.
-
-    Relative accuracy ~1e-15 (delegates to scipy's implementation after the
-    pole check).
-    """
+    """Gamma on the reals by ``math.gamma``, raising at its poles; +-inf past the doubles."""
     x = float(x)
     if not -math.inf < x <= math.inf:     # NaN fails the comparison too
         raise DomainError(f"gamma_fn requires a real x > -inf, got {x}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at {x}")
-    return float(_scipy_gamma(x))
+    try:
+        return math.gamma(x)
+    except OverflowError:       # x above 171.62, or |x| below about 5.6e-309
+        return math.copysign(math.inf, x)
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x): exact 0 at the poles and where Gamma overflows, +-inf where it underflows."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        return 0.0
+    return 1.0 / g if g else math.copysign(math.inf, g)
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +97,10 @@ _REGIME = MLRegime()
 
 def _ml_series_double(alpha: float, x: float) -> float:
     terms = []
-    n = 0
-    while n < 600:
-        v = (-x) ** n * _rgamma(alpha * n + 1.0)
-        terms.append(v)
-        if n > 3 and abs(v) < 1e-18:
+    for n in range(600):
+        terms.append((-x) ** n * _rgamma(alpha * n + 1.0))
+        if n > 3 and abs(terms[-1]) < 1e-18:
             break
-        n += 1
     return math.fsum(terms)
 
 
@@ -226,7 +232,7 @@ def wright(mu: float, nu: float, z: float) -> float:
     if not math.isfinite(nu):
         raise DomainError(f"wright requires a finite nu, got {nu}")
     if z == 0.0:
-        return float(_rgamma(nu))
+        return _rgamma(nu)
     if mu == -0.5 and nu == 0.5 and z < -30.0:
         return math.exp(-z * z / 4.0) / math.sqrt(math.pi)
 
@@ -320,8 +326,6 @@ def inverse_stable_density(alpha: float, t: float, tau: float) -> float:
     if not (0.0 <= tau < math.inf):
         raise DomainError(f"inverse_stable_density requires a finite tau >= 0, got {tau}")
     scale = t ** (-alpha)
-    if tau == 0.0:
-        return scale * float(_rgamma(1.0 - alpha))
     return scale * wright(-alpha, 1.0 - alpha, -tau * scale)
 
 

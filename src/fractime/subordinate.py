@@ -19,9 +19,8 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
-from .errors import ConvergenceError, DomainError, UnsupportedDynamicError
+from .errors import ConvergenceError, DomainError, InversionError, UnsupportedDynamicError
 from .grids import GridFunction
 from .laplace import InversionConfig, invert, invert_on_grid
 from .models import (
@@ -32,7 +31,7 @@ from .models import (
     StableSubordinator,
     UserTransform,
 )
-from .special import density_tail_cutoff, gamma_fn, inverse_stable_moment, mittag_leffler, wright
+from .special import density_tail_cutoff, inverse_stable_moment, mittag_leffler, wright
 
 
 @dataclass(frozen=True)
@@ -50,13 +49,13 @@ def subordinated_transform(model: SubordinatorModel, dynamic: Dynamic, lam):
     Elementwise: lam is a scalar or an array of nodes (the inverters pass
     all of theirs at once), and a scalar gives a scalar.  w is the
     dynamic's own transform; degree 0 cancels exactly to 1/lam.  Any
-    entry that overflows raises DomainError.
+    entry that overflows raises DomainError; underflow is the caller's to refuse.
     """
     if not isinstance(dynamic, (Monomial, Exponential, UserTransform)):
         raise UnsupportedDynamicError(f"unknown dynamic {dynamic!r}")
     if isinstance(dynamic, Monomial) and dynamic.n == 0:
         return 1.0 / lam
-    with np.errstate(all="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         kt = model.kernel_transform(lam)
         try:
             val = kt * dynamic.transform(lam * kt)
@@ -68,14 +67,31 @@ def subordinated_transform(model: SubordinatorModel, dynamic: Dynamic, lam):
     return val
 
 
+def _refuse_underflow(transform, *args):
+    """lam -> transform(*args, lam); InversionError where underflow (tiny t, huge nodes)
+    leaves a value below the normal doubles.  Exact zeros computed without underflow
+    pass, and overflow gives inf, for the inverter to refuse."""
+    def checked(lam):
+        try:
+            with np.errstate(under="raise", over="ignore"):
+                return transform(*args, lam)
+        except FloatingPointError:
+            with np.errstate(under="ignore", over="ignore"):
+                out = transform(*args, lam)
+        if np.any(abs(out) < np.finfo(out.dtype).tiny):
+            raise InversionError("the transform underflows the doubles; t is too small")
+        return out
+    return checked
+
+
 def subordinated_value(
     model: SubordinatorModel,
     dynamic: Dynamic,
     t: float,
     cfg: InversionConfig | None = None,
 ) -> float:
-    """u^E(t) through transform inversion; t > 0."""
-    return invert(lambda lam: subordinated_transform(model, dynamic, lam), t, cfg)
+    """u^E(t) through transform inversion; t > 0 (InversionError where that underflows)."""
+    return invert(_refuse_underflow(subordinated_transform, model, dynamic), t, cfg)
 
 
 def subordinated_curve(
@@ -85,7 +101,7 @@ def subordinated_curve(
     cfg: InversionConfig | None = None,
 ) -> SubordinatedCurve:
     """Sample u^E over a grid by transform inversion, one inversion per t."""
-    samples = invert_on_grid(lambda lam: subordinated_transform(model, dynamic, lam), grid, cfg)
+    samples = invert_on_grid(_refuse_underflow(subordinated_transform, model, dynamic), grid, cfg)
     return SubordinatedCurve(model, dynamic, samples)
 
 
@@ -258,7 +274,17 @@ def _tail_bound(alpha: float, n: int, rate: float, upper: float) -> float:
     b = 1.0 / (1.0 - alpha)
     c = (1.0 - alpha) * alpha ** (alpha * b)
     s = (n + 1.0) / b
-    return math.exp(-rate * upper) * gamma_fn(s) * float(gammaincc(s, c * upper ** b)) / (b * c ** s)
+    log_bound = (_log_upper_gamma_bound(s, c * upper ** b) - rate * upper
+                 - math.log(b) - s * math.log(c))
+    return math.exp(log_bound) if log_bound < 709.0 else math.inf
+
+
+def _log_upper_gamma_bound(s: float, x: float) -> float:
+    """log of a bound on Gamma(s, x): x^(s-1) e^-x max(1, x/(x - s + 1)) for x > s - 1,
+    as t^(s-1) <= x^(s-1) max(1, e^((s-1)(t-x)/x)) on t >= x; else Gamma(s)."""
+    if x > s - 1.0:
+        return (s - 1.0) * math.log(x) - x + math.log(max(1.0, x / (x - s + 1.0)))
+    return math.lgamma(s)
 
 
 def exact_double_transform(alpha: float, p: float, lam: float) -> float:

@@ -233,39 +233,30 @@ def test_console_entry_point():
     assert float(proc.stdout.strip()) == 1.0
 
 
-_HEAVY = ("scipy.integrate", "scipy.linalg", "scipy.fft")
+_SCIPY_BLOCKED = """\
+import contextlib, io, json, sys
+sys.modules["scipy"] = None   # any import of scipy or a submodule now fails
+import fractime, fractime.cli
+assert fractime.cli.main(["verify", "--suite", "all"]) == 0
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = fractime.cli.main(["gfde", "--model", "stable", "--alpha", "0.5",
+                              "--h", "1e-4", "--horizon", "10", "--json"])
+assert code == 0
+print(json.loads(out.getvalue())["results"]["max_defect"])
+"""
 
 
-def _loaded_after(code: str) -> list:
-    """The modules of _HEAVY loaded in a fresh interpreter after running code."""
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys\n{code}\nprint(*[m for m in {_HEAVY!r} if m in sys.modules])"],
-        capture_output=True, text=True,
-    )
+def test_runs_on_numpy_and_mpmath_alone():
+    # scipy is a test dependency only: with it unimportable the package and
+    # its CLI import, every acceptance criterion passes, and a relaxation
+    # solve at the 100,000-step bound holds its equations to roundoff
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
-
-
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate adds about 18 MB to a fresh interpreter and scipy.linalg
-    # with scipy.fft about 7 MB more; only verify.ml_reference uses
-    # scipy.integrate, and imports it in its body
-    assert _loaded_after("import fractime, fractime.cli") == []
-
-
-def test_routes_leave_scipy_linalg_and_fft_unloaded():
-    # one op of each route that once used them: a relaxation solve and its
-    # residual check, a double-transform residual (its Gauss-Jacobi panel),
-    # and a distributed-order Monte Carlo estimate (once compound Poisson)
-    assert _loaded_after(
-        "import fractime as ft\n"
-        "prob = ft.RelaxationProblem(ft.DistributedOrderSubordinator(), a=1.0, h=1e-2,\n"
-        "                            horizon=1.0)\n"
-        "ft.residual_check(ft.solve_relaxation(prob), prob)\n"
-        "ft.double_transform_residual(0.5, 1.0, 1.0)\n"
-        "ft.estimate_ue(ft.DistributedOrderSubordinator(), ft.Monomial(1), 1.0,\n"
-        "               ft.McConfig(n_paths=1000, seed=0))") == []
+    lines = proc.stdout.splitlines()
+    assert "10/10 criteria passed" in lines
+    assert float(lines[-1]) <= 1e-12
 
 
 def test_mc_csv_has_std_error_column(tmp_path, capsys):

@@ -24,6 +24,7 @@ from fractime import (
     mittag_leffler,
     wright,
 )
+from fractime.verify import ml_reference
 from conftest import (
     half_gaussian_density,
     inverse_stable_levy_oracle,
@@ -49,6 +50,30 @@ class TestGamma:
     def test_poles(self, x):
         with pytest.raises(PoleError):
             gamma_fn(x)
+
+    def test_rgamma_against_mpmath(self):
+        # the package's one 1/Gamma, on math.gamma: a grid over every argument
+        # whose Gamma is a normal double, plus points within 1e-6 of the poles
+        from fractime.special import _rgamma
+
+        xs = np.concatenate([np.linspace(-170.5, 171.5, 3421),
+                             np.arange(-170, 1) + 1e-6, np.arange(-170, 1) - 1e-6])
+        xs = xs[xs != np.round(xs)]
+        with mp.workdps(40):
+            worst = max(abs(_rgamma(x) / float(mp.rgamma(mp.mpf(x))) - 1.0) for x in xs)
+        assert worst <= 1e-14
+
+    def test_rgamma_at_the_poles_and_past_the_doubles(self):
+        from fractime.special import _rgamma
+
+        for k in range(0, 400, 7):
+            assert _rgamma(-float(k)) == 0.0
+        # Gamma overflows above 171.62 (1/Gamma is 0) and underflows below -171.5
+        for x in (171.7, 200.0, 1e6):
+            assert _rgamma(x) == 0.0
+            assert gamma_fn(x) == math.inf
+        for x, sign in ((-171.5, 1.0), (-180.5, -1.0), (-301.5, 1.0)):
+            assert _rgamma(x) == sign * math.inf
 
 
 class TestMittagLeffler:
@@ -148,6 +173,26 @@ class TestMittagLeffler:
         with pytest.raises(Exception):
             MLRegime(series_radius=60.0, asymptotic_threshold=50.0)
 
+
+
+class TestMLReference:
+    """The fixed spectral rule of ``verify.ml_reference``, the oracle of C2."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("x", [1e-8, 1e-5, 1e-2])
+    def test_small_x_matches_series(self, alpha, x):
+        # the spectral mass sits near r = x^(1/alpha); adaptive quadrature
+        # from 0 missed it, off by about 100 %
+        assert ml_reference(alpha, x) == pytest.approx(mittag_leffler(alpha, x), rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("x", [1e-8, 1e-2, 1.0, 10.0, 50.0])
+    def test_against_talbot(self, alpha, x):
+        assert ml_reference(alpha, x) == pytest.approx(ml_talbot_oracle(alpha, x), rel=1e-10)
+
+    def test_half_index_is_erfcx(self):
+        for x in np.logspace(-8, 3, 23):
+            assert ml_reference(0.5, x) == pytest.approx(ml_erfcx_oracle(x), rel=1e-14)
 
 
 class TestWright:

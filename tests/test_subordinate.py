@@ -13,6 +13,7 @@ from fractime import (
     DistributedOrderSubordinator,
     DomainError,
     Exponential,
+    InversionError,
     Monomial,
     ParametricLogSubordinator,
     RelaxationProblem,
@@ -181,6 +182,25 @@ class TestValue:
         quadr = [stable_quadrature(alpha, dyn, float(t)) for t in ts]
         np.testing.assert_allclose(quadr, closed, rtol=0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("n,t", [(2, 1e-160), (2, 1e-200), (3, 1e-130)])
+    def test_transform_underflow_at_tiny_t_raises(self, n, t):
+        # u^E(lam) = n!/lam^(1 + n/2) leaves the normal doubles on the
+        # contour's nodes; the values were 4.23e-159 (exact 2e-160), 0.0 and
+        # 0.0 (exact 4.5e-195)
+        model, dyn = StableSubordinator(0.5), Monomial(n)
+        with pytest.raises(InversionError):
+            subordinated_value(model, dyn, t)
+        with pytest.raises(InversionError):
+            subordinated_curve(model, dyn, [t, 1.0])
+
+    @pytest.mark.parametrize("n,t", [(2, 1e-150), (3, 1e-100)])
+    def test_tiny_t_above_the_underflow(self, n, t):
+        model, dyn = StableSubordinator(0.5), Monomial(n)
+        closed = stable_closed_form(0.5, dyn, t)
+        assert subordinated_value(model, dyn, t) == pytest.approx(closed, rel=1e-11)
+        curve = subordinated_curve(model, dyn, [t, 1.0])
+        assert curve.samples.values[0] == pytest.approx(closed, rel=1e-11)
+
     @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
     def test_monomial_curves_nondecreasing(self, model):
         grid = np.logspace(-1, 2, 20)
@@ -261,6 +281,18 @@ class TestQuadrature:
         # a t^(1/2) = x at t = 4; the head panel is refined down to 16/x
         got = stable_quadrature(0.5, Exponential(float(x) / 2.0), 4.0)
         assert got == pytest.approx(ml_erfcx_oracle(float(x)), rel=1e-12)
+
+    def test_tail_bound_against_incomplete_gamma(self):
+        # the elementary bound the tail test uses in place of Gamma(s, x),
+        # against mpmath, in logs (Gamma(s, x) leaves the doubles near x = 700)
+        from fractime.subordinate import _log_upper_gamma_bound
+
+        with mp.workdps(30):
+            for s in np.linspace(0.05, 12.0, 25):
+                for x in np.geomspace(27.0, 5000.0, 20):
+                    exact = float(mp.log(mp.gammainc(s, float(x))))
+                    bound = _log_upper_gamma_bound(float(s), float(x))
+                    assert exact <= bound <= exact + math.log(1.05), (s, x)
 
     @pytest.mark.parametrize("dyn", [Monomial(1), Exponential(1.0)], ids=repr)
     def test_unreachable_density_raises(self, dyn):
