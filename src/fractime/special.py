@@ -161,14 +161,10 @@ def mittag_leffler(alpha: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _log10_abs_rgamma(arg: float) -> float:
-    """log10 |1/Gamma(arg)|; -inf at the poles (where the term vanishes)."""
-    if arg > 0.0:
-        return -math.lgamma(arg) / _LOG10
-    if arg == math.floor(arg):
-        # sin(pi k) is ~1e-16, not 0, in double at the integers k < 0
+    """log10 |1/Gamma(arg)| by lgamma, exact near far poles; -inf at the poles."""
+    if arg <= 0.0 and arg == math.floor(arg):
         return -math.inf
-    s = abs(math.sin(math.pi * arg))
-    return (math.lgamma(1.0 - arg) + math.log(s) - math.log(math.pi)) / _LOG10
+    return -math.lgamma(arg) / _LOG10
 
 
 def _wright_peak(mu: float, nu: float, z: float, n_scan: int):

@@ -2,6 +2,9 @@
 deterministic parallel reduction."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
@@ -38,19 +41,58 @@ from fractime.montecarlo import (
 from conftest import ml_erfcx_oracle
 
 
-def _assert_roots_solve(terms):
-    """Every draw at every level solves sum_i (w_i s)^(1/a_i) A_i = t to 1e-12 in logs."""
+def _unit_logs(terms, rng, n):
+    """log A_i, the unit stable draws of each term in order, as the root solve draws them."""
+    return np.stack([_log_stable_unit(a, *_stable_variates(rng, n)) for a, _ in terms])
+
+
+def _log_level(terms, draws, log_a):
+    """log sum_i (w_i s)^(1/a_i) A_i at each draw s."""
     alphas = np.array([a for a, _ in terms])[:, None]
     log_w = np.log([w for _, w in terms])[:, None]
+    return np.logaddexp.reduce((np.log(draws) + log_w) / alphas + log_a, axis=0)
+
+
+def _assert_roots_solve(terms):
+    """Every draw at every level solves sum_i (w_i s)^(1/a_i) A_i = t to 1e-12 in logs."""
     for t in (1e-6, 1e-2, 1.0, 1e4, 1e12):
         for chunk in range(3):
             draws = _stable_sum_passage(terms, t, _chunk_rng(17, chunk), 4096)
             assert np.all((draws > 0.0) & np.isfinite(draws))
-            rng = _chunk_rng(17, chunk)
-            log_a = np.stack([_log_stable_unit(a, *_stable_variates(rng, 4096))
-                              for a, _ in terms])
-            log_level = np.logaddexp.reduce((np.log(draws) + log_w) / alphas + log_a, axis=0)
-            assert np.max(np.abs(log_level - math.log(t))) <= 1e-12
+            log_a = _unit_logs(terms, _chunk_rng(17, chunk), 4096)
+            assert np.max(np.abs(_log_level(terms, draws, log_a) - math.log(t))) <= 1e-12
+
+
+def _max_shifted_passage(terms, t, log_a):
+    """Reference root by Newton on g(x) = log sum_i exp(x/a_i + log A_i + log(w_i)/a_i) - log t,
+    each sum shifted by its running max (log-sum-exp), from the smallest single-term root."""
+    alphas = np.array([a for a, _ in terms])[:, None]
+    la = log_a + np.log([w for _, w in terms])[:, None] / alphas
+    x = np.min(alphas * (math.log(t) - la), axis=0)
+    live = np.isfinite(x)
+    xs, la = x[live], la[:, live]
+    finishing = False
+    for _ in range(100):
+        z = xs / alphas + la
+        top = z.max(axis=0)
+        e = np.exp(z - top)
+        total = e.sum(axis=0)
+        dx = (top + np.log(total) - math.log(t)) * total / (e / alphas).sum(axis=0)
+        xs -= dx
+        if finishing:
+            x[live] = xs
+            return np.exp(x)
+        finishing = bool(np.all(np.abs(dx) <= 1e-10 * np.maximum(1.0, np.abs(xs))))
+    raise AssertionError("reference Newton did not converge")
+
+
+@st.composite
+def _stable_sums(draw):
+    """2-16 (index, weight) terms: indices in [0.005, 0.995], weights log-uniform on [1e-3, 1e3]."""
+    d = draw(st.integers(min_value=2, max_value=16))
+    indices = draw(st.lists(st.floats(min_value=0.005, max_value=0.995), min_size=d, max_size=d))
+    weights = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=d, max_size=d))
+    return tuple((a, 10.0 ** e) for a, e in zip(indices, weights))
 
 
 class TestStableSampler:
@@ -445,6 +487,18 @@ class TestEstimate:
         ]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_distributed_order_reproducible_across_blas_threads(self):
+        # g's sum and slope in the root solve are one BLAS product: its
+        # thread count must not move a bit of the estimate
+        script = ("from fractime import *\n"
+                  "e = estimate_ue(DistributedOrderSubordinator(), Monomial(1), 1.0,"
+                  " McConfig(n_paths=20_000, seed=7))\n"
+                  "print(repr(e.mean), repr(e.std_error))")
+        outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads), check=True).stdout
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1] != ""
+
     @pytest.mark.parametrize("cpus,n_paths,want", [
         (8, 20_000, 5), (3, 20_000, 3), (None, 20_000, 1), (8, 4096, 1)])
     def test_thread_count_is_capped_by_chunks_and_cpus(self, monkeypatch, cpus, n_paths, want):
@@ -482,6 +536,22 @@ class TestEstimate:
     def test_distributed_order_root_across_levels(self):
         # 16 weighted terms, the smallest index 0.0053
         _assert_roots_solve(DistributedOrderSubordinator().stable_terms)
+
+    @given(terms=_stable_sums(), log10_t=st.floats(min_value=-6.0, max_value=12.0),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_stable_sum_root_solves_the_level_equation(self, terms, log10_t, seed):
+        # the fixed-shift loop against the level equation and a max-shifted Newton
+        t, n = 10.0 ** log10_t, 512
+        draws = _stable_sum_passage(terms, t, np.random.default_rng(seed), n)
+        log_a = _unit_logs(terms, np.random.default_rng(seed), n)
+        with np.errstate(over="ignore"):
+            want = _max_shifted_passage(terms, t, log_a)
+        finite = np.isfinite(draws) & (draws > 0.0)
+        np.testing.assert_array_equal(draws[~finite], want[~finite])
+        assert np.max(np.abs(_log_level(terms, draws[finite], log_a[:, finite]) - math.log(t)),
+                      initial=0.0) <= 1e-12
+        np.testing.assert_allclose(draws[finite], want[finite], rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("model,t", [
         (StableSubordinator(0.5), math.nan),

@@ -260,14 +260,22 @@ class TestWright:
             assert _nonzero_terms(-alpha, 1.0 - alpha, n_peak) < _WRIGHT_BUDGET
 
     def test_peak_scan_sees_every_pole(self):
-        # 1/Gamma vanishes at every nonpositive integer, where sin(pi k) in
-        # double is ~1e-16 rather than 0
+        # 1/Gamma vanishes at every nonpositive integer, where math.lgamma raises
         from fractime.special import _log10_abs_rgamma
 
         for k in (0.0, -1.0, -2.0, -3.0):
             assert _log10_abs_rgamma(k) == -math.inf
         ref = math.log10(abs(float(mp.rgamma(-2.5))))
         assert _log10_abs_rgamma(-2.5) == pytest.approx(ref, rel=1e-14)
+
+    def test_peak_scan_keeps_the_distance_to_a_far_pole(self):
+        # sin(pi arg) loses this argument's distance to -968 (1.18 off in log10)
+        from fractime.special import _log10_abs_rgamma
+
+        arg = -968.0000000000001
+        with mp.workdps(40):
+            ref = float(mp.log10(abs(mp.rgamma(mp.mpf(arg)))))
+        assert abs(_log10_abs_rgamma(arg) - ref) <= 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
