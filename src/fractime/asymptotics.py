@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import ConfigError, DomainError
 from .grids import GridFunction, log_grid
 from .laplace import InversionConfig, invert, invert_on_grid
 from .models import Dynamic, RatePrediction, SubordinatorModel
-from .subordinate import _refuse_underflow, subordinated_transform
+from .subordinate import subordinated_transform
 
 __all__ = [
     "GridFunction",
@@ -66,7 +67,7 @@ def cesaro_mean(
     The inversion refuses any other t with ConfigError, and a t so small that
     the transform underflows (below about 1e-150 for exp:1) with InversionError.
     """
-    return invert(_refuse_underflow(_running_transform, model, dynamic), t, cfg) / t
+    return invert(partial(_running_transform, model, dynamic), t, cfg) / t
 
 
 def cesaro_curve(
@@ -75,7 +76,7 @@ def cesaro_curve(
     grid: Sequence[float],
     cfg: InversionConfig | None = None,
 ) -> GridFunction:
-    samples = invert_on_grid(_refuse_underflow(_running_transform, model, dynamic), grid, cfg)
+    samples = invert_on_grid(partial(_running_transform, model, dynamic), grid, cfg)
     return GridFunction(samples.abscissae, samples.values / samples.abscissae)
 
 

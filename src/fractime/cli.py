@@ -187,11 +187,13 @@ def _cmd_invert(args):
 
 
 def _curve_command(args, name, curve_fn, point_fn):
+    if args.fit and args.grid is None:
+        raise _UsageError("--fit needs --grid")
     model = _model_from_args(args)
     dynamic = parse_dynamic(args.dynamic)
     cfg = _inversion_config(args)
     manifest = _manifest(args, name)
-    if args.grid:
+    if args.grid is not None:
         grid = _grid_from_args(args.grid)
         samples = curve_fn(model, dynamic, grid, cfg)
         if args.out:
@@ -295,8 +297,9 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         _add_model_flags(p)
         p.add_argument("--dynamic", required=True, help="mono:<n> or exp:<a>")
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--grid", default=None, help="min:max:points (log-spaced)")
+        at = p.add_mutually_exclusive_group(required=True)
+        at.add_argument("--t", type=float)
+        at.add_argument("--grid", help="min:max:points (log-spaced)")
         p.add_argument("--fit", action="store_true", help="fit C t^p (log t)^q on the grid")
         _add_method_flags(p)
         _add_output_flags(p)
@@ -335,10 +338,6 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        if getattr(args, "t", None) is None and getattr(args, "grid", None) is None \
-                and args.command in ("subordinate", "cesaro"):
-            print("usage error: need --t or --grid", file=sys.stderr)
-            return USAGE_ERROR
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,6 +24,12 @@ a transform written for one scalar belongs in ``UserTransform``, which
 applies it entry by entry; given to an inverter directly, a transform that
 cannot take the array raises ConfigError.  ``invert_on_grid`` still inverts one t at a
 time.
+
+The node-value contract: every inversion reads its transform's values
+through ``_evaluate``, which vouches for them.  A non-finite value raises
+InversionError, and so does one that underflowed below the normal doubles
+(tiny t puts the nodes far out); exact zeros computed without underflow
+pass.  Every InversionError carries the t it failed at.
 """
 
 from __future__ import annotations
@@ -114,14 +120,21 @@ def _require_time(t: float) -> None:
         raise ConfigError(f"inversion requires a finite t > 0, got {t}")
 
 
-def _evaluate(transform, nodes: np.ndarray) -> np.ndarray:
-    """transform(nodes) as an array of the nodes' shape.
+def _evaluate(transform, nodes: np.ndarray, t: float) -> np.ndarray:
+    """transform(nodes) as an array of the nodes' shape, vouched for at time t.
 
     A transform that cannot take the array (a scalar function in math or
     cmath, or one that branches on its argument) raises ConfigError.
     """
     try:
-        return np.broadcast_to(transform(nodes), nodes.shape)
+        try:
+            with np.errstate(under="raise", over="ignore"):
+                vals = np.broadcast_to(transform(nodes), nodes.shape)
+        except FloatingPointError:
+            with np.errstate(under="ignore", over="ignore"):
+                vals = np.broadcast_to(transform(nodes), nodes.shape)
+            if np.any(abs(vals) < np.finfo(vals.dtype).tiny):
+                raise InversionError(f"the transform underflows the doubles at t={t}", t=t)
     except FractimeError:
         raise
     except (TypeError, ValueError) as exc:
@@ -129,6 +142,11 @@ def _evaluate(transform, nodes: np.ndarray) -> np.ndarray:
             "transform must be elementwise on an ndarray of nodes; "
             "wrap a scalar function in UserTransform"
         ) from exc
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise InversionError(
+            f"transform returned non-finite value at node {nodes[bad][0]!r} for t={t}", t=t)
+    return vals
 
 
 def talbot_invert(
@@ -150,12 +168,7 @@ def talbot_invert(
     r = _TALBOT_SHAPE * terms / t
     path, sigma = _talbot_nodes(terms)
     p = r * path
-    fv = _evaluate(transform, p)
-    bad = ~np.isfinite(fv)
-    if bad.any():
-        raise InversionError(
-            f"transform returned non-finite value at contour point {p[bad][0]!r}", t=t
-        )
+    fv = _evaluate(transform, p, t)
     return float((r / terms) * (np.exp(t * p) * sigma * fv).real.sum())
 
 
@@ -175,11 +188,11 @@ def gaver_stehfest_invert(
     # transforms that compute in double degrade gracefully.
     scale = np.longdouble(_LN2) / np.longdouble(t)
     nodes = scale * np.arange(1, _STEHFEST_TERMS + 1, dtype=np.longdouble)
-    vals = _evaluate(transform, nodes)
-    bad = ~np.isfinite(vals) | (vals.imag != 0.0)
+    vals = _evaluate(transform, nodes, t)
+    bad = vals.imag != 0.0
     if bad.any():
         raise InversionError(
-            f"transform returned non-finite or non-real value at {nodes[bad][0]}", t=t)
+            f"transform returned non-real value at node {nodes[bad][0]} for t={t}", t=t)
     return float(scale * np.dot(_STEHFEST_WEIGHTS, vals.real))
 
 
@@ -206,8 +219,5 @@ def invert_on_grid(
         raise ConfigError("inversion grid requires finite t > 0")
     out = np.empty_like(ts)
     for i, t in enumerate(ts):
-        try:
-            out[i] = invert(transform, float(t), cfg)
-        except InversionError as exc:
-            raise InversionError(f"inversion failed at t={t}: {exc}", t=float(t)) from exc
+        out[i] = invert(transform, float(t), cfg)
     return GridFunction(ts, out)

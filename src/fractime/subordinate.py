@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InversionError, UnsupportedDynamicError
+from .errors import ConvergenceError, DomainError, UnsupportedDynamicError
 from .grids import GridFunction
 from .laplace import InversionConfig, invert, invert_on_grid
 from .models import (
@@ -31,7 +31,8 @@ from .models import (
     StableSubordinator,
     UserTransform,
 )
-from .special import density_tail_cutoff, inverse_stable_moment, mittag_leffler, wright
+from .special import (density_tail_cutoff, inverse_stable_density, inverse_stable_moment,
+                      mittag_leffler)
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def subordinated_transform(model: SubordinatorModel, dynamic: Dynamic, lam):
     Elementwise: lam is a scalar or an array of nodes (the inverters pass
     all of theirs at once), and a scalar gives a scalar.  w is the
     dynamic's own transform; degree 0 cancels exactly to 1/lam.  Any
-    entry that overflows raises DomainError; underflow is the caller's to refuse.
+    entry that overflows raises DomainError; underflow is the inverter's to refuse.
     """
     if not isinstance(dynamic, (Monomial, Exponential, UserTransform)):
         raise UnsupportedDynamicError(f"unknown dynamic {dynamic!r}")
@@ -67,23 +68,6 @@ def subordinated_transform(model: SubordinatorModel, dynamic: Dynamic, lam):
     return val
 
 
-def _refuse_underflow(transform, *args):
-    """lam -> transform(*args, lam); InversionError where underflow (tiny t, huge nodes)
-    leaves a value below the normal doubles.  Exact zeros computed without underflow
-    pass, and overflow gives inf, for the inverter to refuse."""
-    def checked(lam):
-        try:
-            with np.errstate(under="raise", over="ignore"):
-                return transform(*args, lam)
-        except FloatingPointError:
-            with np.errstate(under="ignore", over="ignore"):
-                out = transform(*args, lam)
-        if np.any(abs(out) < np.finfo(out.dtype).tiny):
-            raise InversionError("the transform underflows the doubles; t is too small")
-        return out
-    return checked
-
-
 def subordinated_value(
     model: SubordinatorModel,
     dynamic: Dynamic,
@@ -91,7 +75,7 @@ def subordinated_value(
     cfg: InversionConfig | None = None,
 ) -> float:
     """u^E(t) through transform inversion; t > 0 (InversionError where that underflows)."""
-    return invert(_refuse_underflow(subordinated_transform, model, dynamic), t, cfg)
+    return invert(partial(subordinated_transform, model, dynamic), t, cfg)
 
 
 def subordinated_curve(
@@ -101,7 +85,7 @@ def subordinated_curve(
     cfg: InversionConfig | None = None,
 ) -> SubordinatedCurve:
     """Sample u^E over a grid by transform inversion, one inversion per t."""
-    samples = invert_on_grid(_refuse_underflow(subordinated_transform, model, dynamic), grid, cfg)
+    samples = invert_on_grid(partial(subordinated_transform, model, dynamic), grid, cfg)
     return SubordinatedCurve(model, dynamic, samples)
 
 
@@ -258,7 +242,7 @@ def _panel(alpha: float, k: int, is_head: bool):
     hi = math.ldexp(density_tail_cutoff(alpha, 1.0, _TABLE_FLOOR), k)
     lo = 0.0 if is_head else 0.5 * hi
     nodes = 0.5 * (hi - lo) * (_GAUSS[0] + 1.0) + lo
-    dens = np.array([wright(-alpha, 1.0 - alpha, -v) for v in nodes])
+    dens = np.array([inverse_stable_density(alpha, 1.0, v) for v in nodes])
     return nodes, 0.5 * (hi - lo) * _GAUSS[1] * dens
 
 

@@ -53,6 +53,21 @@ def test_usage_error_exit_code(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("at", [
+    # both used to print the grid results and record t = 5 in the manifest
+    ("--t", "5", "--grid", "1:10:3"),
+    (),
+    # the fit was dropped without a word
+    ("--t", "5", "--fit"),
+], ids=["t-and-grid", "neither", "t-with-fit"])
+@pytest.mark.parametrize("command", ["subordinate", "cesaro"])
+def test_time_flags_exit_code(capsys, command, at):
+    code, out, err = run_cli(command, "--model", "stable", "--alpha", "0.5",
+                             "--dynamic", "mono:1", *at, capsys=capsys)
+    assert code == 1
+    assert out == "" and "usage error" in err
+
+
 def test_unknown_flag_exit_code(capsys):
     code, _, err = run_cli("ml", "--alpha", "0.5", "--x", "1", "--bogus", capsys=capsys)
     assert code == 1

@@ -55,6 +55,23 @@ class TestTalbot:
         with pytest.raises(ConfigError):
             talbot_invert(lambda l: 1.0 / l, 0.0)
 
+    @pytest.mark.parametrize("power,t", [(1.5, 1e-210), (1.5, 1e-250), (1.1, 1e-290)])
+    def test_underflowed_node_values_raise(self, power, t):
+        # l^-power leaves the normal doubles on the contour's far nodes; the
+        # values were 1.127e-105 (8.5e-4 off), 0.0 (exact 1.1e-125) and
+        # -1.98e-29 (exact +1.03e-29)
+        for invert_at in (lambda f: talbot_invert(f, t), lambda f: invert_on_grid(f, [t, 1.0])):
+            with pytest.raises(InversionError) as excinfo:
+                invert_at(lambda l: l ** -power)
+            assert excinfo.value.t == t
+
+    def test_tiny_t_above_the_underflow(self):
+        t = 1e-200
+        got = talbot_invert(lambda l: l ** -1.5, t)
+        assert got == pytest.approx(t ** 0.5 / math.gamma(1.5), rel=1e-10)
+        # exact zeros computed without underflow pass
+        assert talbot_invert(lambda l: 0.0 * l, t) == 0.0
+
 
 class TestGaverStehfest:
     def test_unit_step(self):

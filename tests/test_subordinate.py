@@ -451,6 +451,20 @@ def test_density_table_shared_across_threads():
     assert parallel == serial
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+def test_base_panels_read_the_wright_density_bit_for_bit(alpha):
+    # the panels read E(1)'s density, whose scale t^-alpha is exactly 1.0
+    from fractime.subordinate import _GAUSS, _HEAD, _TABLE_FLOOR, _panel
+
+    cutoff = density_tail_cutoff(alpha, 1.0, _TABLE_FLOOR)
+    for k in range(_HEAD, 1):
+        nodes, wts = _panel(alpha, k, k == _HEAD)
+        hi = math.ldexp(cutoff, k)
+        lo = 0.0 if k == _HEAD else 0.5 * hi
+        dens = np.array([wright(-alpha, 1.0 - alpha, -v) for v in nodes])
+        assert np.array_equal(wts, 0.5 * (hi - lo) * _GAUSS[1] * dens)
+
+
 def test_points_at_a_used_index_add_no_panel_misses():
     # the panels are the one cache of density values; tables are reassembled from them
     from fractime.subordinate import _panel
