@@ -25,19 +25,6 @@ from .laplace import InversionConfig, invert, invert_on_grid
 from .models import Dynamic, RatePrediction, SubordinatorModel
 from .subordinate import subordinated_transform
 
-__all__ = [
-    "GridFunction",
-    "log_grid",
-    "AsymptoticFit",
-    "cesaro_mean",
-    "cesaro_curve",
-    "fit_rate",
-    "rate_grid_for",
-    "verify_class",
-    "ClassVerification",
-]
-
-
 def rate_grid_for(model: SubordinatorModel) -> np.ndarray:
     """25-point fitting grid for a model's rate family.
 

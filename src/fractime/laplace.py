@@ -29,7 +29,9 @@ The node-value contract: every inversion reads its transform's values
 through ``_evaluate``, which vouches for them.  A non-finite value raises
 InversionError, and so does one that underflowed below the normal doubles
 (tiny t puts the nodes far out); exact zeros computed without underflow
-pass.  Every InversionError carries the t it failed at.
+pass.  The weighted sum is vouched for too: one that overflows or turns
+NaN (huge t, where exp(t p) leaves the doubles) raises InversionError
+instead of returning it.  Every InversionError carries the t it failed at.
 """
 
 from __future__ import annotations
@@ -149,6 +151,13 @@ def _evaluate(transform, nodes: np.ndarray, t: float) -> np.ndarray:
     return vals
 
 
+def _finite_sum(value: float, t: float) -> float:
+    """The inversion's weighted sum; InversionError unless it is finite."""
+    if not math.isfinite(value):
+        raise InversionError(f"the inversion sum is not finite at t={t}", t=t)
+    return value
+
+
 def talbot_invert(
     transform: Callable[[np.ndarray], np.ndarray],
     t: float,
@@ -169,7 +178,8 @@ def talbot_invert(
     path, sigma = _talbot_nodes(terms)
     p = r * path
     fv = _evaluate(transform, p, t)
-    return float((r / terms) * (np.exp(t * p) * sigma * fv).real.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_sum(float((r / terms) * (np.exp(t * p) * sigma * fv).real.sum()), t)
 
 
 def gaver_stehfest_invert(
@@ -193,7 +203,8 @@ def gaver_stehfest_invert(
     if bad.any():
         raise InversionError(
             f"transform returned non-real value at node {nodes[bad][0]} for t={t}", t=t)
-    return float(scale * np.dot(_STEHFEST_WEIGHTS, vals.real))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_sum(float(scale * np.dot(_STEHFEST_WEIGHTS, vals.real)), t)
 
 
 def invert(transform, t: float, cfg: InversionConfig | None = None) -> float:

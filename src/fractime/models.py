@@ -7,10 +7,11 @@ one, that kernel and its convolution with the powers s^g; the cumulative
 kernel (g = 0) is derived once, in the common base.  The distributed-order
 exponent l K(l) = int_0^1 l^a da is a mixture of stable exponents; a 16-node
 Gauss-Legendre rule in the order states it as a sum of 16 stables, which
-Monte Carlo draws exactly.  The stable, two-stable and distributed-order
-models share one kernel and convolution formula, summed over those terms.
-The three kinds of family are distinguished by the small-frequency
-behavior of K, which is what drives their long-time Cesaro rates:
+Monte Carlo draws exactly and whose largest order starts the kernel
+relaxation.  The stable, two-stable and distributed-order models share one
+kernel and convolution formula, summed over those terms.  The three kinds
+of family are distinguished by the small-frequency behavior of K, which is
+what drives their long-time Cesaro rates:
 
 * power-kernel models (stable, sum of two stables): transform ~ l^(a-1);
 * the distributed-order model: transform ~ 1/(l log(1/l));
@@ -23,6 +24,7 @@ is pure.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from functools import reduce
 from operator import add
@@ -176,19 +178,18 @@ class SubordinatorModel:
     Each family is a frozen dataclass whose fields are its parameters.  It
     states its kernel transform K (everywhere) and, where one is defined,
     its time-domain kernel k and the convolution of k with s^g; the
-    cumulative kernel (the convolution with s^0), ``describe`` and the repr,
-    equality and hash are derived once, from those and from the fields.
-    Each model also states what its kernel allows, as class constants or as
-    attributes set once from its parameters:
+    cumulative kernel (the convolution with s^0) and the repr, equality and
+    hash are derived once, from those and from the fields.  Each model also
+    states what its kernel allows, as class constants or as attributes set
+    once from its parameters:
 
     * ``stable_terms``: the (index, weight) pairs (a_i, w_i) of the
       independent stable subordinators the model is the sum of, so that
-      l K(l) = sum_i w_i l^(a_i); () if it is no such sum.  Any number of
-      terms gives exact Monte Carlo draws of the inverse time, with no
-      time steps.
-    * ``short_time_power``: the exponent g with u(t) ~ u0 (1 - c t^g) near
-      zero for the kernel relaxation, None when the model has no
-      time-domain kernel (transform routes only).
+      l K(l) = sum_i w_i l^(a_i); () if it is no such sum.  This is the
+      model's one time-domain statement: any number of terms gives exact
+      Monte Carlo draws of the inverse time, with no time steps, and the
+      kernel relaxation, whose solution starts as u0 (1 - c t^g) with g the
+      largest index.
     * ``power_index`` and ``log_rate_scale``: the Cesaro exponents, so that
       t^n has running mean ~ t^(power_index n) (log t)^(log_rate_scale n)
       and exp(-a t) the same with n = -1; each is 0 where it does not apply.
@@ -200,7 +201,6 @@ class SubordinatorModel:
 
     config_tag = ""
     stable_terms = ()
-    short_time_power = None
     power_index = 0.0
     log_rate_scale = 0.0
 
@@ -234,10 +234,6 @@ class SubordinatorModel:
             return RatePrediction(0.0 - self.power_index, 0.0 - self.log_rate_scale)
         raise UnsupportedDynamicError("rate predictions need a monomial or exponential dynamic")
 
-    def describe(self) -> dict:
-        """The config mapping that `model_from_config` turns back into this model."""
-        return {"class": self.config_tag, **{f.name: getattr(self, f.name) for f in fields(self)}}
-
 
 @dataclass(frozen=True)
 class StableSubordinator(SubordinatorModel):
@@ -251,8 +247,7 @@ class StableSubordinator(SubordinatorModel):
         if not (0.0 < alpha < 1.0):
             raise ConfigError(f"stable index must lie in (0,1), got {alpha}")
         # one dict update past the frozen __setattr__: models are built per operation
-        vars(self).update(alpha=alpha, stable_terms=((alpha, 1.0),), short_time_power=alpha,
-                          power_index=alpha)
+        vars(self).update(alpha=alpha, stable_terms=((alpha, 1.0),), power_index=alpha)
 
     # Written for any sum of stables, in term order; TwoStableSubordinator binds them too.
     def kernel_transform(self, lam):
@@ -295,7 +290,7 @@ class TwoStableSubordinator(SubordinatorModel):
         if not (0.0 < alpha < beta < 1.0):
             raise ConfigError(f"need 0 < alpha < beta < 1, got alpha={alpha}, beta={beta}")
         vars(self).update(alpha=alpha, beta=beta, stable_terms=((alpha, 1.0), (beta, 1.0)),
-                          short_time_power=beta, power_index=alpha)
+                          power_index=alpha)
 
     # bound here rather than inherited: perfbench's tracer wraps each class's own methods
     kernel_transform = StableSubordinator.kernel_transform
@@ -319,8 +314,6 @@ class DistributedOrderSubordinator(SubordinatorModel):
     # l K(l) = int_0^1 l^a da by 16-node Gauss-Legendre on (0,1): within
     # 5.6e-14 of (l - 1)/log l on every Talbot node for t in [1e-6, 1e12]
     stable_terms = tuple((float(0.5 * (x + 1.0)), float(0.5 * w)) for x, w in zip(*leggauss(16)))
-    # the solution behaves like t log(1/t) at small times, close to linear
-    short_time_power = 1.0
     log_rate_scale = 1.0
 
     _TAYLOR_RADIUS = 1e-4
@@ -395,26 +388,17 @@ _MODEL_CLASSES = {
 }
 
 
-def model_from_config(config) -> SubordinatorModel:
-    """Build a model from a mapping or `key = value` text.
+def model_from_config(config: Mapping) -> SubordinatorModel:
+    """Build a model from a mapping; anything else raises ConfigError.
 
     Recognized keys: ``class`` (stable | two-stable | distributed-order | c3)
     plus exactly the numeric parameters that are the class's fields
     (``alpha``; ``alpha``, ``beta``; none; ``s`` and optionally ``scale``).
     A missing or extra parameter raises ConfigError.
     """
-    if isinstance(config, str):
-        mapping = {}
-        for line in config.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ConfigError(f"bad config line {line!r}")
-            mapping[key.strip()] = val.strip().strip("'\"")
-    else:
-        mapping = dict(config)
+    if not isinstance(config, Mapping):
+        raise ConfigError(f"model config must be a mapping, got {type(config).__name__}")
+    mapping = dict(config)
 
     try:
         tag = str(mapping.pop("class")).lower()

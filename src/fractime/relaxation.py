@@ -8,10 +8,12 @@ product-rectangle weights (exact cell integrals of k); the damping term is
 treated implicitly.
 
 A starting correction repairs the first-cell quadrature against the t^g
-leading behavior of the solution (g = the model's short-time power), which
-is what limits plain product integration on uniform grids.  Any model that
-states a short-time power has the time-domain kernel the scheme needs;
-models that state none (transform-only kernels) are rejected.
+leading behavior of the solution, which is what limits plain product
+integration on uniform grids.  For a sum of stables, l K(l) =
+sum_i w_i l^(a_i), the largest index dominates as l -> inf, so g is the
+largest index of the model's ``stable_terms``.  A model that states stable
+terms has the time-domain kernel the scheme needs, the same test Monte
+Carlo makes; models that state none (transform-only kernels) are rejected.
 
 Past the first step the rows form one lower-triangular Toeplitz system,
 the kind of convolution-quadrature system of Hairer, Lubich & Schlichte
@@ -55,10 +57,9 @@ class RelaxationProblem:
     horizon: float = 5.0
 
     def __post_init__(self):
-        if self.model.short_time_power is None:
+        if not self.model.stable_terms:
             raise UnsupportedModelError(
-                "relaxation solves need a model with an integrable kernel"
-            )
+                f"{type(self.model).__name__} states no stable terms: it has no kernel to relax")
         if not (0.0 <= self.a < math.inf):
             raise ConfigError(f"damping rate a must be finite and nonnegative, got {self.a!r}")
         if not math.isfinite(self.u0):
@@ -107,7 +108,7 @@ def _scheme_arrays(prob: RelaxationProblem):
     cumulative = prob.model.kernel_integral(t)
     weights = np.diff(cumulative)  # weights[i] = integral of k over (ih, (i+1)h)
 
-    g = prob.model.short_time_power
+    g = max(a for a, _ in prob.model.stable_terms)
     tg = t ** g
     # row corrections b_m on (u1 - u0): make each row's convolution quadrature
     # exact on s^g as well as on constants

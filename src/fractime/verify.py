@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import fit_rate, log_grid, rate_grid_for, verify_class
+from .asymptotics import fit_rate, rate_grid_for, verify_class
 from .errors import ConfigError
+from .grids import log_grid
 from .laplace import gaver_stehfest_invert, talbot_invert
 from .models import (
     DistributedOrderSubordinator,

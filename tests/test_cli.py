@@ -106,6 +106,17 @@ def test_route_overflow_exit_code(capsys):
     assert "numerical failure" in err and "overflowed" in err
 
 
+@pytest.mark.parametrize("at", [("--t", "1e300"), ("--grid", "1e298:1e300:3")],
+                         ids=["t", "grid"])
+def test_inversion_overflow_exit_code(capsys, at):
+    # the Talbot sum leaves the doubles: a numerical failure, neither a
+    # printed nan nor a usage error
+    code, out, err = run_cli("subordinate", "--model", "distributed-order",
+                             "--dynamic", "mono:2", *at, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert "numerical failure" in err
+
+
 @pytest.mark.parametrize("command", ["subordinate", "cesaro"])
 def test_time_outside_zero_to_infinity_exit_code(capsys, command):
     code, _, err = run_cli(command, "--model", "stable", "--alpha", "0.5",

@@ -2,6 +2,8 @@
 
 t runs log-uniformly over [1e-6, 1e12], the stable index over [0.05, 0.95],
 monomial degrees up to 8 and exponential rates log-uniformly over [0.05, 20].
+The transform routes are also held to it at huge t, log-uniform over
+[1e12, 1e300], where the inversion sums leave the doubles and must raise.
 A numpy warning from fractime is an error under the suite's warning filter,
 so a route that computes through an overflow fails here as well.
 """
@@ -30,6 +32,7 @@ from fractime import (
 )
 
 times = st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e)
+huge_times = st.floats(12.0, 300.0).map(lambda e: 10.0 ** e)
 indices = st.floats(0.05, 0.95)
 rates = st.floats(math.log10(0.05), math.log10(20.0)).map(lambda e: 10.0 ** e)
 dynamics = st.one_of(st.integers(0, 8).map(Monomial), rates.map(Exponential))
@@ -54,6 +57,13 @@ def _finite_or_typed_error(call, *args):
 @given(models, dynamics, times, methods)
 @settings(max_examples=800, deadline=None, derandomize=True)
 def test_transform_routes(model, dynamic, t, cfg):
+    _finite_or_typed_error(subordinated_value, model, dynamic, t, cfg)
+    _finite_or_typed_error(cesaro_mean, model, dynamic, t, cfg)
+
+
+@given(models, dynamics, huge_times, methods)
+@settings(max_examples=800, deadline=None, derandomize=True)
+def test_transform_routes_at_huge_t(model, dynamic, t, cfg):
     _finite_or_typed_error(subordinated_value, model, dynamic, t, cfg)
     _finite_or_typed_error(cesaro_mean, model, dynamic, t, cfg)
 

@@ -9,14 +9,18 @@ import pytest
 
 from fractime import (
     ConfigError,
+    DistributedOrderSubordinator,
     Exponential,
     InversionConfig,
     InversionError,
+    Monomial,
     StableSubordinator,
     UserTransform,
+    cesaro_mean,
     gaver_stehfest_config,
     gaver_stehfest_invert,
     invert_on_grid,
+    subordinated_curve,
     subordinated_value,
     talbot_invert,
 )
@@ -65,6 +69,16 @@ class TestTalbot:
                 invert_at(lambda l: l ** -power)
             assert excinfo.value.t == t
 
+    def test_overflowed_sum_raises(self):
+        # exp(t p) F(p) leaves the doubles at t = 1e298 and beyond
+        model = DistributedOrderSubordinator()
+        with pytest.raises(InversionError) as excinfo:
+            subordinated_value(model, Monomial(2), 1e300)
+        assert excinfo.value.t == 1e300
+        with pytest.raises(InversionError) as excinfo:
+            subordinated_curve(model, Monomial(2), [1e298, 1e299, 1e300])
+        assert excinfo.value.t == 1e298
+
     def test_tiny_t_above_the_underflow(self):
         t = 1e-200
         got = talbot_invert(lambda l: l ** -1.5, t)
@@ -105,6 +119,12 @@ class TestGaverStehfest:
         want = subordinated_value(StableSubordinator(0.5), Exponential(1.0), 1.0,
                                   gaver_stehfest_config())
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_overflowed_sum_raises(self):
+        # the long-double sum of the running transform exceeds the doubles
+        with pytest.raises(InversionError) as excinfo:
+            cesaro_mean(StableSubordinator(0.5), Monomial(2), 1e200, gaver_stehfest_config())
+        assert excinfo.value.t == 1e200
 
     def test_complex_values_off_the_axis_refused(self):
         # 1/(l + i) is not real for real l: no real inverse to read off

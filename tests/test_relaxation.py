@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erfcx
 
 from fractime import (
@@ -48,12 +49,11 @@ def forward_substitution(prob):
     return u
 
 
-def direct_scheme_arrays(prob):
-    """The scheme's tables with the starting correction from a direct convolution:
-    the plain reference for the FFT one."""
+def direct_scheme_arrays(prob, g):
+    """The scheme's tables with the starting correction for t^g from a direct
+    convolution: the plain reference for the FFT one."""
     t, cumulative, weights, _ = _scheme_arrays(prob)
     steps = t.size - 1
-    g = prob.model.short_time_power
     tg = t ** g
     b = np.zeros(steps + 1)
     b[1:] = (prob.model.kernel_conv_power(g, t[1:]) - np.convolve(weights, tg[1:])[:steps]) / tg[1]
@@ -147,8 +147,13 @@ def test_distributed_order_matches_inversion():
 
 
 def test_unsupported_model_rejected():
-    with pytest.raises(UnsupportedModelError):
-        RelaxationProblem(ParametricLogSubordinator(0.5), a=1.0)
+    # a model that states no stable terms is refused, whatever kernel it has
+    class Unstated(SubordinatorModel):
+        kernel_conv_power = StableSubordinator.kernel_conv_power
+
+    for model in (ParametricLogSubordinator(0.5), Unstated()):
+        with pytest.raises(UnsupportedModelError):
+            RelaxationProblem(model, a=1.0)
 
 
 def test_grid_validation():
@@ -166,17 +171,11 @@ def test_grid_validation():
         residual_check(other, prob)
 
 
-def test_any_model_stating_a_short_time_power_is_solved():
-    # the solver reads the kernel and the stated power, not the model's class
+def test_any_model_stating_stable_terms_is_solved():
+    # the solver reads the kernel and the stated terms, not the model's class
     class StableKernel(SubordinatorModel):
-        short_time_power = 0.5
-        stable = StableSubordinator(0.5)
-
-        def kernel_integral(self, t):
-            return self.stable.kernel_integral(t)
-
-        def kernel_conv_power(self, gamma, t):
-            return self.stable.kernel_conv_power(gamma, t)
+        stable_terms = ((0.5, 1.0),)
+        kernel_conv_power = StableSubordinator.kernel_conv_power
 
     stated = solve_relaxation(RelaxationProblem(StableKernel(), a=1.0, h=1e-2, horizon=1.0))
     named = solve_relaxation(RelaxationProblem(StableSubordinator(0.5), a=1.0, h=1e-2,
@@ -261,18 +260,21 @@ def test_scheme_arrays_are_cached_read_only():
 SCHEME_MODELS = [StableSubordinator(0.5), TwoStableSubordinator(0.3, 0.8),
                  DistributedOrderSubordinator()]
 SCHEME_IDS = ["stable", "two-stable", "distributed-order"]
+# the start exponent is the largest stable index: alpha, beta, and the
+# largest 16-node Gauss-Legendre order node, 0.99470...
+START_EXPONENTS = [0.5, 0.8, 0.5 * (leggauss(16)[0][-1] + 1.0)]
 
 
-@pytest.mark.parametrize("model", SCHEME_MODELS, ids=SCHEME_IDS)
+@pytest.mark.parametrize("model,g", zip(SCHEME_MODELS, START_EXPONENTS), ids=SCHEME_IDS)
 @pytest.mark.parametrize("steps", [1, 2, 33, 5000])
-def test_scheme_arrays_match_direct_convolution(model, steps):
+def test_scheme_arrays_match_direct_convolution(model, g, steps):
     prob = RelaxationProblem(model, a=1.0, h=1e-3, horizon=steps * 1e-3)
     t, cumulative, weights, b = _scheme_arrays(prob)
-    ref = direct_scheme_arrays(prob)
+    ref = direct_scheme_arrays(prob, g)
     for got, want in zip((t, cumulative, weights), ref[:3]):
         assert np.array_equal(got, want)
     # b is the correction divided by t_1^g; compare it in the convolution's own units
-    assert np.max(np.abs(b - ref[3])) * t[1] ** model.short_time_power <= 1e-13
+    assert np.max(np.abs(b - ref[3])) * t[1] ** g <= 1e-13
 
 
 @pytest.mark.parametrize("model", SCHEME_MODELS, ids=SCHEME_IDS)
