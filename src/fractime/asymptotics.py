@@ -1,9 +1,9 @@
 """Cesaro means, asymptotic rate fitting, and predicted-vs-fitted checks.
 
-The running mean M_t = (1/t) * integral of u^E over [0, t] is computed from
-the transform of u^E divided by the frequency variable (the transform of
-the running integral) and inverted -- reaching t = 1e12 costs the same as
-t = 10, which is what makes slowly converging log-rate fits feasible.
+The running mean M_t = (1/t) * integral of u^E over [0, t] is computed by
+inverting u^E's transform as a running integral (the inverters divide by
+the node inside their sums) -- reaching t = 1e12 costs the same as t = 10,
+which is what makes slowly converging log-rate fits feasible.
 
 Rates are fitted as log f = log C + p log t + q log log t; because log t
 and log log t are nearly collinear on short windows, fits refuse spans
@@ -38,11 +38,6 @@ def rate_grid_for(model: SubordinatorModel) -> np.ndarray:
     return log_grid(1e4, 1e12, 25)
 
 
-def _running_transform(model: SubordinatorModel, dynamic: Dynamic, lam):
-    """u^E's transform over lam, that of its running integral."""
-    return subordinated_transform(model, dynamic, lam) / lam
-
-
 def cesaro_mean(
     model: SubordinatorModel,
     dynamic: Dynamic,
@@ -51,10 +46,15 @@ def cesaro_mean(
 ) -> float:
     """Running time-average of the subordinated dynamic at a finite time t > 0.
 
-    The inversion refuses any other t with ConfigError, and a t so small that
-    the transform underflows (below about 1e-150 for exp:1) with InversionError.
+    The inversion refuses any other t with ConfigError.  It inverts u^E's
+    own transform as a running integral, so the values it sums are those of
+    u^E's transform, not of u^E(lam)/lam: at huge t the mean of a bounded
+    dynamic stays finite (distributed-order exp:1 at t = 1e300 is 1.4e-3),
+    and tiny t fails with InversionError only where u^E's transform itself
+    underflows, as ``subordinated_value`` does (from about 1e-160 for
+    stable 0.5 mono:2, whose mean is t).
     """
-    return invert(partial(_running_transform, model, dynamic), t, cfg) / t
+    return invert(partial(subordinated_transform, model, dynamic), t, cfg, integrate=True) / t
 
 
 def cesaro_curve(
@@ -63,7 +63,8 @@ def cesaro_curve(
     grid: Sequence[float],
     cfg: InversionConfig | None = None,
 ) -> GridFunction:
-    samples = invert_on_grid(partial(_running_transform, model, dynamic), grid, cfg)
+    samples = invert_on_grid(partial(subordinated_transform, model, dynamic), grid, cfg,
+                             integrate=True)
     return GridFunction(samples.abscissae, samples.values / samples.abscissae)
 
 

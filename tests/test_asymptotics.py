@@ -13,7 +13,6 @@ from fractime import (
     DistributedOrderSubordinator,
     DomainError,
     Exponential,
-    FractimeError,
     GridFunction,
     InversionError,
     Monomial,
@@ -22,6 +21,7 @@ from fractime import (
     cesaro_curve,
     cesaro_mean,
     fit_rate,
+    gaver_stehfest_config,
     log_grid,
     subordinated_value,
     verify_class,
@@ -50,35 +50,63 @@ class TestCesaroMean:
         with pytest.raises(ConfigError):
             cesaro_mean(StableSubordinator(0.5), Monomial(1), 0.0)
 
-    def test_time_past_the_doubles_raises_before_any_warning(self):
-        # at t = 1e200 the running transform overflows at the contour's
-        # nodes; the inverter refuses that with a typed error, and no numpy
-        # warning comes first
+    def test_huge_time_mean_is_finite_without_warning(self):
+        # the mean of a bounded dynamic is small and finite at huge t; its
+        # running integral is summed from u^E's own transform, whose values
+        # stay in the doubles at the contour's nodes, and agrees with
+        # Gaver-Stehfest's long-double sum
         model, dyn = DistributedOrderSubordinator(), Exponential(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FractimeError):
-                cesaro_mean(model, dyn, 1e200)
-            with pytest.raises(FractimeError):
-                cesaro_curve(model, dyn, [1.0, 1e200])
+            for t in (1e154, 1e200, 1e300):
+                got = cesaro_mean(model, dyn, t)
+                assert 1e-3 < got < 3e-3
+                assert got == pytest.approx(
+                    cesaro_mean(model, dyn, t, gaver_stehfest_config()), abs=1e-6)
+                assert cesaro_curve(model, dyn, [1.0, t]).values[1] == got
+
+    def test_time_past_the_doubles_raises_before_any_warning(self):
+        # at t = 1e300 u^E's transform of mono:2 (about 7e304 at the
+        # contour's real node) is too large for the weighted sum; the
+        # inverter refuses that with a typed error, and no numpy warning
+        # comes first
+        model, dyn = DistributedOrderSubordinator(), Monomial(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InversionError) as excinfo:
+                cesaro_mean(model, dyn, 1e300)
+            assert excinfo.value.t == 1e300
+            with pytest.raises(InversionError):
+                cesaro_curve(model, dyn, [1.0, 1e300])
 
     @pytest.mark.parametrize("model", [StableSubordinator(0.5), DistributedOrderSubordinator()],
                              ids=["stable", "distributed-order"])
-    def test_time_below_the_doubles_raises(self, model):
-        # below t ~ 1e-150 the running transform ~ 1/lam^2 leaves the normal
-        # doubles on the contour's nodes; it returned 0.0 from 1e-165 on and
-        # -39.6 at 1e-160, where the mean is about 1
+    def test_tiny_time_mean_of_a_bounded_dynamic(self, model):
+        # u^E's transform of exp:1 is about 1/lam, a normal double on the
+        # contour's nodes down to t = 1e-300, where the mean is about 1
         dyn = Exponential(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cesaro_mean(model, dyn, 1e-150) == pytest.approx(1.0, abs=1e-11)
-            assert cesaro_curve(model, dyn, [1e-150, 1.0]).values[0] == cesaro_mean(
-                model, dyn, 1e-150)
-            for t in (1e-160, 1e-170, 1e-200, 1e-300):
-                with pytest.raises(InversionError):
-                    cesaro_mean(model, dyn, t)
-                with pytest.raises(InversionError):
-                    cesaro_curve(model, dyn, [t, 1.0])
+            for t in (1e-150, 1e-160, 1e-200, 1e-300):
+                got = cesaro_mean(model, dyn, t)
+                assert got == pytest.approx(1.0, abs=1e-11)
+                assert cesaro_curve(model, dyn, [t, 1.0]).values[0] == got
+
+    def test_time_below_the_doubles_raises(self):
+        # stable 0.5 mono:2 has mean t, and u^E's transform 2/lam^2 leaves
+        # the normal doubles on the contour's nodes from t ~ 1e-160 on, where
+        # the mean refuses as subordinated_value does
+        model, dyn = StableSubordinator(0.5), Monomial(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (6.02e-102, 1e-120, 1e-150):
+                assert cesaro_mean(model, dyn, t) == pytest.approx(t, rel=1e-11)
+            for route in (lambda t: cesaro_mean(model, dyn, t),
+                          lambda t: cesaro_curve(model, dyn, [t, 1.0]),
+                          lambda t: subordinated_value(model, dyn, t)):
+                with pytest.raises(InversionError) as excinfo:
+                    route(1e-160)
+                assert excinfo.value.t == 1e-160
 
     def test_zero_transform_inverts_to_zero(self):
         zero = UserTransform(lambda z: 0.0 * z)

@@ -3,7 +3,7 @@
 t runs log-uniformly over [1e-6, 1e12], the stable index over [0.05, 0.95],
 monomial degrees up to 8 and exponential rates log-uniformly over [0.05, 20].
 The transform routes are also held to it at huge t, log-uniform over
-[1e12, 1e300], where the inversion sums leave the doubles and must raise.
+[1e12, 1e300], where some transforms leave the doubles and must raise.
 A numpy warning from fractime is an error under the suite's warning filter,
 so a route that computes through an overflow fails here as well.
 """

@@ -28,9 +28,10 @@ from fractime.laplace import invert
 
 
 class TestTalbot:
-    @pytest.mark.parametrize("t", [0.1, 1.0, 3.0, 10.0, 100.0])
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 2.0, 3.0, 10.0, 100.0])
     def test_unit_step(self, t):
-        assert talbot_invert(lambda l: 1.0 / l, t) == pytest.approx(1.0, rel=1e-10)
+        # the unit-time weights are rounded once from 40 digits: within 2.3e-12
+        assert talbot_invert(lambda l: 1.0 / l, t) == pytest.approx(1.0, abs=5e-12)
 
     def test_ramp(self):
         assert talbot_invert(lambda l: 1.0 / l ** 2, 2.5) == pytest.approx(2.5, rel=1e-10)
@@ -59,18 +60,21 @@ class TestTalbot:
         with pytest.raises(ConfigError):
             talbot_invert(lambda l: 1.0 / l, 0.0)
 
-    @pytest.mark.parametrize("power,t", [(1.5, 1e-210), (1.5, 1e-250), (1.1, 1e-290)])
+    @pytest.mark.parametrize("power,t", [(1.5, 1e-210), (1.5, 1e-250), (1.1, 1e-290),
+                                         (1.0, 1e-307)])
     def test_underflowed_node_values_raise(self, power, t):
         # l^-power leaves the normal doubles on the contour's far nodes; the
         # values were 1.127e-105 (8.5e-4 off), 0.0 (exact 1.1e-125) and
-        # -1.98e-29 (exact +1.03e-29)
+        # -1.98e-29 (exact +1.03e-29); at t = 1e-307 the nodes themselves
+        # overflow, which is refused before any numpy warning
         for invert_at in (lambda f: talbot_invert(f, t), lambda f: invert_on_grid(f, [t, 1.0])):
             with pytest.raises(InversionError) as excinfo:
                 invert_at(lambda l: l ** -power)
             assert excinfo.value.t == t
 
     def test_overflowed_sum_raises(self):
-        # exp(t p) F(p) leaves the doubles at t = 1e298 and beyond
+        # u^E's transform exceeds the bound that keeps the weighted sum in
+        # the doubles at t = 1e298 and beyond
         model = DistributedOrderSubordinator()
         with pytest.raises(InversionError) as excinfo:
             subordinated_value(model, Monomial(2), 1e300)
@@ -121,7 +125,7 @@ class TestGaverStehfest:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_overflowed_sum_raises(self):
-        # the long-double sum of the running transform exceeds the doubles
+        # the long-double sum of the running integral of u^E exceeds the doubles
         with pytest.raises(InversionError) as excinfo:
             cesaro_mean(StableSubordinator(0.5), Monomial(2), 1e200, gaver_stehfest_config())
         assert excinfo.value.t == 1e200

@@ -37,7 +37,7 @@ from fractime import (
     talbot_invert,
     wright,
 )
-from fractime.laplace import _TALBOT_SHAPE, _talbot_nodes
+from fractime.laplace import _talbot_rule
 from fractime.subordinate import exact_double_transform
 from conftest import ml_erfcx_oracle, ml_series_oracle
 
@@ -82,8 +82,7 @@ class TestTransform:
 
 def _contour(t):
     """The default Talbot contour's 32 nodes at t; node 0 is real."""
-    path, _ = _talbot_nodes(32)
-    return _TALBOT_SHAPE * 32 / t * path
+    return _talbot_rule(32, False).nodes / t
 
 
 PARITY_MODELS = ALL_MODELS + [StableSubordinator(0.3), ParametricLogSubordinator(1.5, 0.7)]
